@@ -180,8 +180,7 @@ BENCHMARK(BM_PrefetchBuffer);
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    Cache cache(CacheConfig{"bench-l2", 8 * 1024 * 1024, 16,
-                            ReplPolicy::Lru, 7});
+    Cache cache(CacheConfig{"bench-l2", 8 * 1024 * 1024, 16});
     Rng rng(6);
     for (auto _ : state) {
         const Addr block = blockAddress(rng.below(1ULL << 18));
@@ -201,8 +200,7 @@ BENCHMARK(BM_CacheAccess);
 void
 BM_CacheProbeHit(benchmark::State &state)
 {
-    Cache cache(CacheConfig{"bench-l1", 64 * 1024, 2,
-                            ReplPolicy::Lru, 7});
+    Cache cache(CacheConfig{"bench-l1", 64 * 1024, 2});
     // Resident hot set, as the L1 sees between misses.
     constexpr std::uint64_t kHotBlocks = 256;
     for (std::uint64_t b = 0; b < kHotBlocks; ++b)

@@ -840,31 +840,4 @@ driverMain(int argc, char **argv)
     return runExperiments(args);
 }
 
-int
-experimentMain(const std::string &name, int argc, char **argv)
-{
-    DriverArgs args;
-    std::string error;
-    if (!parseDriverArgs(argc, argv, args, error)) {
-        logRaw(error + "\n" + kUsage);
-        return 1;
-    }
-    if (args.help) {
-        std::fputs(kUsage, stdout);
-        return 0;
-    }
-    applyTelemetryGlobals(args);
-    if (args.list) {
-        printList(ExperimentRegistry::global());
-        return 0;
-    }
-    if (!args.experiments.empty()) {
-        logRaw("this binary always runs '" + name +
-               "'; use the driver binary to select experiments\n");
-        return 1;
-    }
-    args.experiments.assign(1, name);
-    return runExperiments(args);
-}
-
 } // namespace stms::driver

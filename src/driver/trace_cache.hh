@@ -178,7 +178,7 @@ class TraceCache
     std::uint64_t generations_ = 0;
 };
 
-/** The shared cache used by the driver CLI and the bench stubs. */
+/** The shared cache used by the driver CLI. */
 TraceCache &globalTraceCache();
 
 } // namespace stms::driver

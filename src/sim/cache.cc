@@ -8,6 +8,8 @@ namespace stms
 Cache::Cache(const CacheConfig &config)
     : name_(config.name), ways_(config.ways)
 {
+    stms_assert(ways_ > 0, "%s: cache needs at least one way",
+                name_.c_str());
     stms_assert(config.sizeBytes % (kBlockBytes * config.ways) == 0,
                 "%s: size %llu not divisible by ways*blockSize",
                 name_.c_str(),
@@ -16,9 +18,18 @@ Cache::Cache(const CacheConfig &config)
     stms_assert(isPowerOfTwo(sets_), "%s: set count %llu not a power of 2",
                 name_.c_str(), static_cast<unsigned long long>(sets_));
     lines_.resize(sets_ * ways_);
-    repl_.reserve(sets_);
-    for (std::uint64_t s = 0; s < sets_; ++s)
-        repl_.emplace_back(config.policy, ways_, config.seed + s);
+    age_.assign(sets_ * ways_, 0);
+}
+
+std::uint32_t
+Cache::lruWay(std::uint64_t set) const
+{
+    const std::uint64_t *age = &age_[set * ways_];
+    std::uint32_t victim_way = 0;
+    for (std::uint32_t w = 1; w < ways_; ++w)
+        if (age[w] < age[victim_way])
+            victim_way = w;
+    return victim_way;
 }
 
 Eviction
@@ -33,7 +44,7 @@ Cache::fill(Addr block_addr, bool dirty)
     std::uint32_t way = 0;
     if (Line *line = findLine(block_addr, &way)) {
         line->dirty |= dirty;
-        repl_[set].touch(way);
+        touch(set, way);
         return evicted;
     }
 
@@ -46,7 +57,7 @@ Cache::fill(Addr block_addr, bool dirty)
         }
     }
     if (victim_way == ways_) {
-        victim_way = repl_[set].victim();
+        victim_way = lruWay(set);
         Line &victim = base[victim_way];
         evicted.valid = true;
         evicted.dirty = victim.dirty;
@@ -57,7 +68,7 @@ Cache::fill(Addr block_addr, bool dirty)
     }
 
     base[victim_way] = Line{block_addr, true, dirty};
-    repl_[set].touch(victim_way);
+    touch(set, victim_way);
     ++stats_.fills;
     return evicted;
 }

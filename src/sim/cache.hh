@@ -16,19 +16,16 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "sim/replacement.hh"
 
 namespace stms
 {
 
-/** Geometry and policy of one cache level. */
+/** Geometry of one cache level (replacement is always LRU). */
 struct CacheConfig
 {
     std::string name = "cache";
     std::uint64_t sizeBytes = 64 * 1024;
     std::uint32_t ways = 2;
-    ReplPolicy policy = ReplPolicy::Lru;
-    std::uint64_t seed = 1;
 };
 
 /** Result of a cache eviction: what got displaced, if anything. */
@@ -79,7 +76,7 @@ class Cache
         if (line) {
             ++stats_.hits;
             line->dirty |= is_write;
-            repl_[setIndex(block_addr)].touch(way);
+            touch(setIndex(block_addr), way);
             return true;
         }
         ++stats_.misses;
@@ -130,6 +127,16 @@ class Cache
         return blockNumber(block_addr) & (sets_ - 1);
     }
 
+    /** Make @p way the most recently used way of @p set. */
+    void
+    touch(std::uint64_t set, std::uint32_t way)
+    {
+        age_[set * ways_ + way] = ++clock_;
+    }
+
+    /** LRU way of a full @p set: the one with the oldest touch. */
+    std::uint32_t lruWay(std::uint64_t set) const;
+
     Line *
     findLine(Addr block_addr, std::uint32_t *way_out = nullptr)
     {
@@ -160,7 +167,10 @@ class Cache
     std::uint64_t sets_;
     std::uint32_t ways_;
     std::vector<Line> lines_;
-    std::vector<ReplacementState> repl_;
+    /** Last-touch stamp per line (same layout as lines_); the LRU
+     *  victim of a set is its way with the smallest stamp. */
+    std::vector<std::uint64_t> age_;
+    std::uint64_t clock_ = 0;
     CacheStats stats_;
 };
 

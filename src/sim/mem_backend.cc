@@ -1,6 +1,5 @@
 #include "sim/mem_backend.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -13,21 +12,54 @@ namespace stms
 namespace
 {
 
-/** Parse a positive decimal integer; returns false on junk or zero. */
+/** Largest value of a numeric spec key other than a structure count
+ *  (cycles, row bytes): it fits the 32-bit fields, and cycle sums
+ *  cannot wrap. */
+constexpr std::uint64_t kMaxMemSpecValue = 0xffffffffULL;
+
+/**
+ * Parse a decimal integer in [1, @p max]: digits only (no sign, no
+ * whitespace), so "-1" cannot wrap and "4294967296" cannot truncate.
+ */
 bool
-parsePositive(const std::string &text, std::uint64_t &value)
+parseBounded(const std::string &text, std::uint64_t max,
+             std::uint64_t &value)
 {
     if (text.empty())
         return false;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || parsed == 0)
+    std::uint64_t parsed = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (parsed > (max - digit) / 10)
+            return false;
+        parsed = parsed * 10 + digit;
+    }
+    if (parsed == 0)
         return false;
     value = parsed;
     return true;
 }
 
 } // namespace
+
+std::uint64_t
+MemCtrlStats::totalBytes() const
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t value : bytes)
+        total += value;
+    return total;
+}
+
+std::uint64_t
+MemCtrlStats::overheadBytes() const
+{
+    return totalBytes() -
+           bytesFor(TrafficClass::DemandRead) -
+           bytesFor(TrafficClass::DemandWriteback);
+}
 
 const char *
 memBackendKindName(MemBackendKind kind)
@@ -131,10 +163,14 @@ parseMemBackendSpec(const std::string &text, MemBackendSpec &spec,
             continue;
         }
 
+        const bool count_key =
+            key == "channels" || key == "ranks" || key == "banks";
+        const std::uint64_t max =
+            count_key ? kMaxMemStructureCount : kMaxMemSpecValue;
         std::uint64_t value = 0;
-        if (!parsePositive(raw, value)) {
-            error = "backend parameter " + key +
-                    " needs a positive integer, got '" + raw + "'";
+        if (!parseBounded(raw, max, value)) {
+            error = "backend parameter " + key + " needs an integer in 1.." +
+                    std::to_string(max) + ", got '" + raw + "'";
             return false;
         }
 
@@ -279,7 +315,7 @@ makeMemBackend(EventQueue &events, const MemBackendSpec &spec,
 
     switch (spec.kind) {
       case MemBackendKind::Fixed:
-        return std::make_unique<FixedLatencyBackend>(events, base);
+        return std::make_unique<QueuedBackend>(events, base, 1);
       case MemBackendKind::Queued:
         return std::make_unique<QueuedBackend>(
             events, base,

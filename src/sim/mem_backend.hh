@@ -3,36 +3,81 @@
  * Pluggable main-memory backend interface.
  *
  * The paper's evaluation answers "is STMS meta-data traffic
- * affordable?" against a single fixed-latency memory model (Table 1).
- * The backend interface turns that model into an axis: the same
- * priority-arbitrated request stream can be served by the original
- * fixed-latency controller, a multi-channel queued model, or a
- * bank/row-timing DRAM model, so experiments can report which
- * conclusions survive a change of memory technology.
+ * affordable?" against a single fixed-latency memory channel (Table
+ * 1). The backend interface turns that model into an axis: the same
+ * priority-arbitrated request stream can be served by the Table 1
+ * channel (`fixed`, the queued backend with one channel), a
+ * multi-channel queued model, or a bank/row-timing DRAM model, so
+ * experiments can report which conclusions survive a change of memory
+ * technology.
  *
- * All backends share the request() contract of MemController: demand
- * requests (Priority::High) always win arbitration over prefetch and
- * meta-data traffic, completion callbacks fire exactly once, and
- * per-class byte accounting is identical across backends.
+ * All backends share one request() contract: demand requests
+ * (Priority::High) always win arbitration over prefetch and meta-data
+ * traffic, which the paper finds "essential to minimize
+ * queueing-related stalls" (Sec. 4.3); completion callbacks fire
+ * exactly once; and per-class byte accounting, which feeds the
+ * traffic-overhead figures (Figs. 1, 7, 8), is identical across
+ * backends.
  */
 
 #ifndef STMS_SIM_MEM_BACKEND_HH
 #define STMS_SIM_MEM_BACKEND_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "common/types.hh"
-#include "sim/memctrl.hh"
+#include "sim/event_queue.hh"
+#include "stats/histogram.hh"
 
 namespace stms
 {
 
+/** Memory timing shared by every backend. */
+struct MemCtrlConfig
+{
+    /** DRAM access latency in cycles (45 ns at 4 GHz). */
+    Cycle accessLatency = 180;
+    /** Channel occupancy per 64-byte transfer (28.4 GB/s at 4 GHz). */
+    Cycle transferCycles = 9;
+    /**
+     * Functional mode: callbacks fire with zero latency and no
+     * bandwidth contention, but traffic is still counted. Used for
+     * trace-based coverage sweeps (the paper's own methodology mixes
+     * trace-based and cycle-accurate runs, Sec. 5.1).
+     */
+    bool functional = false;
+};
+
+/** Per-class traffic and queueing statistics. */
+struct MemCtrlStats
+{
+    std::array<std::uint64_t, kNumTrafficClasses> requests{};
+    std::array<std::uint64_t, kNumTrafficClasses> bytes{};
+    std::uint64_t highPrioRequests = 0;
+    std::uint64_t lowPrioRequests = 0;
+    /** Total cycles the channels were occupied transferring data. */
+    Cycle busyCycles = 0;
+
+    std::uint64_t
+    bytesFor(TrafficClass cls) const
+    {
+        return bytes[static_cast<std::size_t>(cls)];
+    }
+
+    /** Total bytes across all classes. */
+    std::uint64_t totalBytes() const;
+
+    /** Bytes of everything except demand reads and writebacks. */
+    std::uint64_t overheadBytes() const;
+};
+
 /** Which memory model serves requests. */
 enum class MemBackendKind : std::uint8_t
 {
-    Fixed,   ///< Original fixed-latency single channel (MemController).
+    Fixed,   ///< Table 1 single channel (the queued model, 1 channel).
     Queued,  ///< Per-channel queues, address-interleaved channels.
     Dram,    ///< Ranks x banks with row-buffer timing.
 };
@@ -60,6 +105,9 @@ inline constexpr std::uint32_t kDramDefaultRanks = 1;
 inline constexpr std::uint32_t kDramDefaultBanksPerRank = 8;
 /** Default channel count of the queued backend. */
 inline constexpr std::uint32_t kQueuedDefaultChannels = 2;
+/** Largest channels=, ranks= or banks= a spec may ask for, so no
+ *  spec can request an unbounded allocation. */
+inline constexpr std::uint32_t kMaxMemStructureCount = 64;
 
 /**
  * Parsed form of a --mem-backend NAME[,key=val...] specification.
@@ -139,8 +187,7 @@ struct RowBufferStats
  * Abstract memory backend: the timing model behind MemorySystem.
  *
  * request() carries the block-aligned physical address so backends
- * with internal structure (channels, banks, rows) can decode it;
- * the fixed-latency backend ignores it.
+ * with internal structure (channels, banks, rows) can decode it.
  */
 class MemBackend
 {
@@ -171,9 +218,6 @@ class MemBackend
     /** Fraction of elapsed x channels the data bus was busy. */
     virtual double utilization(Cycle elapsed) const = 0;
 
-    /** Backend name for reports ("fixed", "queued", "dram"). */
-    virtual const char *kindName() const = 0;
-
     /** Number of independent data channels. */
     virtual std::uint32_t channels() const = 0;
 
@@ -188,50 +232,6 @@ class MemBackend
     /** Shared per-request accounting (identical across backends). */
     static void account(MemCtrlStats &stats, TrafficClass cls,
                         Priority prio, std::uint32_t blocks);
-};
-
-/**
- * Fixed-latency backend: wraps the original MemController unchanged,
- * ignoring addresses. Bit-identical to the pre-backend simulator by
- * construction (the conformance and identity tests assert it).
- */
-class FixedLatencyBackend final : public MemBackend
-{
-  public:
-    FixedLatencyBackend(EventQueue &events, const MemCtrlConfig &config)
-        : ctrl_(events, config)
-    {
-    }
-
-    void
-    request(TrafficClass cls, Priority prio, Addr, std::uint32_t blocks,
-            Callback done) override
-    {
-        ctrl_.request(cls, prio, blocks, std::move(done));
-    }
-
-    const MemCtrlStats &stats() const override { return ctrl_.stats(); }
-    void resetStats() override { ctrl_.resetStats(); }
-    const LinearHistogram &
-    lowPrioDelay() const override
-    {
-        return ctrl_.lowPrioDelay();
-    }
-    double
-    utilization(Cycle elapsed) const override
-    {
-        return ctrl_.utilization(elapsed);
-    }
-    const char *kindName() const override { return "fixed"; }
-    std::uint32_t channels() const override { return 1; }
-    std::size_t
-    pendingRequests() const override
-    {
-        return ctrl_.pendingRequests();
-    }
-
-  private:
-    MemController ctrl_;
 };
 
 /**

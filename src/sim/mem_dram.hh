@@ -62,7 +62,6 @@ class DramBackend final : public MemBackend
         return lowDelay_;
     }
     double utilization(Cycle elapsed) const override;
-    const char *kindName() const override { return "dram"; }
     std::uint32_t
     channels() const override
     {

@@ -59,9 +59,9 @@ QueuedBackend::startTransfer(Channel &channel, Request request)
         static_cast<Cycle>(request.blocks) * config_.transferCycles;
     stats_.busyCycles += occupancy;
 
-    // Same pipelining as MemController: data arrives one access
-    // latency after the grant, but the channel frees after the
-    // transfer alone.
+    // Data is available one access latency plus the transfer time
+    // after the grant; the channel frees after the transfer alone, so
+    // later requests pipeline behind the DRAM access of this one.
     const Cycle data_ready =
         events_.now() + config_.accessLatency + occupancy;
     if (request.done) {

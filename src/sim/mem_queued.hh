@@ -1,13 +1,18 @@
 /**
  * @file
- * Multi-channel queued memory backend.
+ * Queued memory backend: N priority-arbitrated data channels.
  *
- * Generalizes MemController to N independent data channels, each with
- * its own high/low priority queues and transfer pipeline. Blocks are
- * address-interleaved across channels (channel = block mod N), which
- * is the standard fine-grained interleaving that spreads both the
- * demand stream and STMS's sequential history-buffer stream. With
- * channels=1 the model is cycle-identical to MemController.
+ * Each channel has its own high/low priority queues and transfer
+ * pipeline: the oldest high-priority request is granted first, then
+ * the oldest low-priority one. A granted request occupies its channel
+ * for transferCycles per block, which is what bounds peak bandwidth,
+ * and delivers data accessLatency cycles after that, so later grants
+ * pipeline behind its DRAM access. Blocks are address-interleaved
+ * across channels (channel = block mod N), the standard fine-grained
+ * interleaving that spreads both the demand stream and STMS's
+ * sequential history-buffer stream. With one channel this is the
+ * paper's Table 1 memory controller, which is how the `fixed` backend
+ * is built.
  */
 
 #ifndef STMS_SIM_MEM_QUEUED_HH
@@ -38,7 +43,6 @@ class QueuedBackend final : public MemBackend
         return lowDelay_;
     }
     double utilization(Cycle elapsed) const override;
-    const char *kindName() const override { return "queued"; }
     std::uint32_t
     channels() const override
     {

@@ -56,7 +56,6 @@ MemorySystem::MemorySystem(EventQueue &events,
     for (std::uint32_t c = 0; c < config.numCores; ++c) {
         CacheConfig l1cfg = config.l1;
         l1cfg.name = "l1." + std::to_string(c);
-        l1cfg.seed = config.l1.seed + c * 7919;
         l1s_.push_back(std::make_unique<Cache>(l1cfg));
     }
     mlpMeters_.resize(config.numCores);

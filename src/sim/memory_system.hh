@@ -42,8 +42,8 @@ enum class AccessOutcome : std::uint8_t
 struct MemorySystemConfig
 {
     std::uint32_t numCores = 4;
-    CacheConfig l1{"l1", 64 * 1024, 2, ReplPolicy::Lru, 11};
-    CacheConfig l2{"l2", 8 * 1024 * 1024, 16, ReplPolicy::Lru, 13};
+    CacheConfig l1{"l1", 64 * 1024, 2};
+    CacheConfig l2{"l2", 8 * 1024 * 1024, 16};
     Cycle l1Latency = 2;
     Cycle prefetchBufLatency = 4;
     Cycle l2Latency = 20;

@@ -10,10 +10,10 @@ namespace
 {
 
 CacheConfig
-smallCache(std::uint32_t ways = 2, ReplPolicy policy = ReplPolicy::Lru)
+smallCache(std::uint32_t ways = 2)
 {
     // 4KB, 64B blocks -> 64 lines.
-    return CacheConfig{"test", 4 * 1024, ways, policy, 5};
+    return CacheConfig{"test", 4 * 1024, ways};
 }
 
 TEST(Cache, MissThenFillThenHit)
@@ -133,13 +133,9 @@ TEST(Cache, GeometryAccessors)
               cache.sizeBytes());
 }
 
-class CachePolicies : public ::testing::TestWithParam<ReplPolicy>
+TEST(Cache, FullSetNeverExceedsWays)
 {
-};
-
-TEST_P(CachePolicies, FullSetNeverExceedsWays)
-{
-    Cache cache(smallCache(4, GetParam()));
+    Cache cache(smallCache(4));
     // Hammer one set with many distinct blocks.
     const Addr stride = cache.numSets() * kBlockBytes;
     for (Addr i = 0; i < 64; ++i)
@@ -147,9 +143,9 @@ TEST_P(CachePolicies, FullSetNeverExceedsWays)
     EXPECT_LE(cache.occupancy(), 4u);
 }
 
-TEST_P(CachePolicies, WorkingSetWithinCapacityAllHits)
+TEST(Cache, WorkingSetWithinCapacityAllHits)
 {
-    Cache cache(smallCache(4, GetParam()));
+    Cache cache(smallCache(4));
     for (Addr block = 0; block < 32; ++block)
         cache.fill(blockAddress(block));
     cache.resetStats();
@@ -159,10 +155,54 @@ TEST_P(CachePolicies, WorkingSetWithinCapacityAllHits)
     EXPECT_EQ(cache.stats().misses, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, CachePolicies,
-                         ::testing::Values(ReplPolicy::Lru,
-                                           ReplPolicy::Random,
-                                           ReplPolicy::TreePlru));
+// LRU replacement, observed through the blocks each fill evicts.
+
+TEST(Lru, VictimIsLeastRecentlyTouched)
+{
+    Cache cache(smallCache(4));
+    const Addr stride = cache.numSets() * kBlockBytes;
+    for (Addr i = 0; i < 4; ++i)
+        cache.fill(i * stride);
+    // Touch block 0 by a hit and block 1 by a re-fill: block 2 is
+    // now the least recently touched, then block 3.
+    EXPECT_TRUE(cache.access(0, false));
+    cache.fill(stride);
+    EXPECT_EQ(cache.fill(4 * stride).blockAddr, 2 * stride);
+    EXPECT_EQ(cache.fill(5 * stride).blockAddr, 3 * stride);
+    EXPECT_EQ(cache.fill(6 * stride).blockAddr, 0u);
+    EXPECT_EQ(cache.fill(7 * stride).blockAddr, stride);
+}
+
+TEST(Lru, SingleWayAlwaysEvictsItsBlock)
+{
+    Cache cache(smallCache(1));
+    const Addr stride = cache.numSets() * kBlockBytes;
+    cache.fill(0);
+    for (Addr i = 1; i < 8; ++i) {
+        const Eviction evicted = cache.fill(i * stride);
+        EXPECT_TRUE(evicted.valid);
+        EXPECT_EQ(evicted.blockAddr, (i - 1) * stride);
+    }
+    EXPECT_EQ(cache.occupancy(), 1u);
+}
+
+TEST(Lru, InvalidWayFilledBeforeEviction)
+{
+    Cache cache(smallCache(4));
+    const Addr stride = cache.numSets() * kBlockBytes;
+    for (Addr i = 0; i < 4; ++i)
+        cache.fill(i * stride);
+    // Block 2 is the most recently touched; invalidating it frees its
+    // way, which the next fill takes instead of evicting LRU block 0.
+    EXPECT_TRUE(cache.access(2 * stride, false));
+    EXPECT_TRUE(cache.invalidate(2 * stride));
+    const Eviction evicted = cache.fill(4 * stride);
+    EXPECT_FALSE(evicted.valid);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_TRUE(cache.contains(0));
+    // With the set full again, LRU block 0 is the next victim.
+    EXPECT_EQ(cache.fill(5 * stride).blockAddr, 0u);
+}
 
 } // namespace
 } // namespace stms

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/mem_backend.hh"
+#include "sim/mem_dram.hh"
 
 namespace stms
 {
@@ -96,7 +97,7 @@ TEST(MemBackendSpec, ParsedFieldsReachTheBackendConfig)
 
     EventQueue events;
     auto mem = makeMemBackend(events, spec, MemCtrlConfig{});
-    EXPECT_STREQ(mem->kindName(), "dram");
+    EXPECT_NE(dynamic_cast<DramBackend *>(mem.get()), nullptr);
     EXPECT_EQ(mem->channels(), 2u);
 }
 
@@ -115,6 +116,35 @@ TEST(MemBackendSpec, RejectsBadInput)
     parseFail("dram,frobnicate=1");     // Unknown key.
     parseFail("queued,channels");       // Missing '='.
     parseFail("queued,=2");             // Missing key.
+}
+
+TEST(MemBackendSpec, RejectsOutOfRangeNumbers)
+{
+    // A sign or whitespace is junk, never a wrapped or skipped value.
+    EXPECT_EQ(parseFail("queued,channels=-1"),
+              "backend parameter channels needs an integer in 1..64, "
+              "got '-1'");
+    parseFail("fixed,latency=-1");
+    parseFail("fixed,latency=+180");
+    parseFail("fixed,latency= 180");
+    parseFail("queued,channels=4 ");
+    // Values past a field's range are rejected, not truncated:
+    // channels=4294967296 once became the default two channels.
+    parseFail("queued,channels=4294967296");
+    parseFail("fixed,latency=4294967296");
+    parseFail("fixed,transfer=18446744073709551616");
+    parseFail("dram,row-bytes=4294967360");
+    // Structure counts stop at kMaxMemStructureCount.
+    EXPECT_EQ(parseOk("queued,channels=64").channels, 64u);
+    EXPECT_EQ(parseOk("dram,ranks=64,banks=64").banksPerRank, 64u);
+    parseFail("queued,channels=65");
+    parseFail("dram,ranks=65");
+    EXPECT_EQ(parseFail("dram,banks=1000"),
+              "backend parameter banks needs an integer in 1..64, "
+              "got '1000'");
+    // The largest timing value still parses.
+    EXPECT_EQ(parseOk("fixed,latency=4294967295").accessLatency,
+              4294967295u);
 }
 
 TEST(MemBackendSpec, FailedParseLeavesSpecUntouched)
