@@ -170,17 +170,14 @@ MemorySystem::handleMiss(CoreId core, Addr block, bool is_write,
     if (Mshr *merged = mshrs_.find(block)) {
         Mshr &mshr = *merged;
         mshr.write |= is_write;
+        // Set when a demand first catches an in-flight prefetch: the
+        // miss is partially covered (Fig. 9 "partially covered").
+        Prefetcher *caught = nullptr;
         if (mshr.prefetch && !mshr.demandWaiting) {
-            // Demand request caught an in-flight prefetch: the miss is
-            // partially covered (Fig. 9 "partially covered").
             mshr.demandWaiting = true;
+            caught = mshr.owner;
             ++stats_.partialMisses;
-            ++pfStats_[mshr.owner->id()].partial;
-            mshr.owner->onPrefetchUsed(core, block, true);
-            for (Prefetcher *other : prefetchers_) {
-                if (other != mshr.owner)
-                    other->onForeignCovered(core, block);
-            }
+            ++pfStats_[caught->id()].partial;
         } else if (!mshr.prefetch) {
             // Merged with another outstanding demand fetch; still an
             // uncovered miss from the core's point of view.
@@ -194,6 +191,16 @@ MemorySystem::handleMiss(CoreId core, Addr block, bool is_write,
         if (done)
             mlpMeters_[core].start(now);
         mshr.addWaiter(core, std::move(done));
+        // Notify last: the hooks may issue prefetches, and an MSHR
+        // insert that grows mshrs_ moves every entry, so `mshr` must
+        // not be touched after this point.
+        if (caught) {
+            caught->onPrefetchUsed(core, block, true);
+            for (Prefetcher *other : prefetchers_) {
+                if (other != caught)
+                    other->onForeignCovered(core, block);
+            }
+        }
         return;
     }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "sim/memory_system.hh"
 
 namespace stms
@@ -21,6 +23,8 @@ class ProbePf : public Prefetcher
     void onPrefetchUsed(CoreId, Addr block, bool partial) override
     {
         (partial ? partials : useds).push_back(block);
+        if (partial && onPartial)
+            onPartial();
     }
     void onPrefetchUnused(CoreId, Addr block) override
     {
@@ -32,6 +36,8 @@ class ProbePf : public Prefetcher
     }
 
     std::vector<Addr> misses, useds, partials, unused, foreign;
+    /** Runs inside onPrefetchUsed for a partial hit (reentrancy). */
+    std::function<void()> onPartial;
 
   private:
     std::string name_ = "probe";
@@ -137,6 +143,42 @@ TEST(MemorySystem, DemandMergingWithInflightPrefetchIsPartial)
     EXPECT_EQ(f.memory->stats().partialMisses, 1u);
     EXPECT_EQ(f.memory->prefetcherStats(0).partial, 1u);
     ASSERT_EQ(f.pf.partials.size(), 1u);
+}
+
+TEST(MemorySystem, DemandMergeSurvivesMshrGrowth)
+{
+    // The owner's partial-use hook issues enough prefetches to grow
+    // the MSHR table past its first 16 slots, which moves every
+    // entry. The merging demand must still land on the live MSHR.
+    Fixture f;
+    f.pf.onPartial = [&f]() {
+        for (CoreId core = 0; core < 2; ++core) {
+            for (Addr i = 0; i < 12; ++i) {
+                EXPECT_EQ(f.memory->issuePrefetch(
+                              f.pf, core,
+                              0x800000 + (core * 64 + i) * kBlockBytes),
+                          IssueResult::Issued);
+            }
+        }
+    };
+    int fired = 0;
+    AccessOutcome outcome{};
+    f.events.schedule(0, [&]() {
+        f.memory->issuePrefetch(f.pf, 0, 0x40000);
+    });
+    f.events.schedule(50, [&]() {
+        f.memory->demandAccess(0, 0x40000, false,
+                               [&](Cycle, AccessOutcome o) {
+                                   ++fired;
+                                   outcome = o;
+                               });
+        EXPECT_GT(f.memory->mshrOccupancy(), 16u);
+    });
+    f.events.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(outcome, AccessOutcome::MemPartial);
+    ASSERT_EQ(f.pf.partials.size(), 1u);
+    EXPECT_EQ(f.memory->mshrOccupancy(), 0u);
 }
 
 TEST(MemorySystem, RedundantPrefetchDropped)
