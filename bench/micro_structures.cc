@@ -18,7 +18,6 @@
 #include "common/simd.hh"
 #include "core/history_buffer.hh"
 #include "core/index_table.hh"
-#include "core/sharded_index_table.hh"
 #include "prefetch/prefetch_buffer.hh"
 #include "sim/cache.hh"
 #include "sim/event_queue.hh"
@@ -62,94 +61,6 @@ BM_IndexTableLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IndexTableLookup);
-
-/**
- * Scalar vs batched probe throughput on a table big enough that every
- * random probe misses the host LLC: Arg(0)=0 probes one at a time
- * through lookup(), Arg(0)=1 routes the same addresses through
- * lookupBatch(), whose one-batch-ahead __builtin_prefetch overlaps
- * each probe's bucket fetch with the previous probes' work. The two
- * variants are bit-identical in results and stats (asserted in
- * tests/core/batched_probe_test.cc); this bench measures the only
- * difference that is allowed to exist — host-side throughput.
- */
-void
-BM_BatchedIndexProbe(benchmark::State &state)
-{
-    const bool batched = state.range(0) != 0;
-    IndexTable table(64ULL << 20);
-    Rng rng(11);
-    for (std::uint64_t i = 0; i < 4'000'000; ++i) {
-        table.update(blockAddress(rng.below(1ULL << 24)),
-                     HistoryPointer{0, i});
-    }
-    constexpr std::size_t kBatch = 256;
-    std::vector<Addr> blocks(kBatch);
-    std::vector<std::optional<HistoryPointer>> results(kBatch);
-    Rng probe(12);
-    for (auto _ : state) {
-        for (auto &block : blocks)
-            block = blockAddress(probe.below(1ULL << 24));
-        if (batched) {
-            table.lookupBatch(blocks, results);
-        } else {
-            for (std::size_t i = 0; i < kBatch; ++i)
-                results[i] = table.lookup(blocks[i]);
-        }
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_BatchedIndexProbe)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"batched"});
-
-/**
- * Concurrent mixed lookup/update traffic against the sharded table:
- * Arg(0) is the shard count, ->Threads() the hammering threads. With
- * one shard every thread serializes on a single mutex — the
- * single-map bottleneck the driver's index_contention experiment
- * quantifies end to end; more shards stripe the same traffic across
- * independent locks.
- */
-void
-BM_ShardedIndexMixed(benchmark::State &state)
-{
-    static ShardedIndexTable *table = nullptr;
-    if (state.thread_index() == 0) {
-        table = new ShardedIndexTable(
-            16ULL << 20, 12,
-            static_cast<std::uint32_t>(state.range(0)));
-        Rng warm(7);
-        for (std::uint64_t i = 0; i < 1'000'000; ++i) {
-            table->update(blockAddress(warm.below(1ULL << 24)),
-                          HistoryPointer{0, i});
-        }
-    }
-    Rng rng(100 + static_cast<std::uint64_t>(state.thread_index()));
-    std::uint64_t seq = 0;
-    for (auto _ : state) {
-        const Addr block = blockAddress(rng.below(1ULL << 24));
-        if (seq % 4 == 0)
-            table->update(block, HistoryPointer{0, seq});
-        else
-            benchmark::DoNotOptimize(table->lookup(block));
-        ++seq;
-    }
-    state.SetItemsProcessed(state.iterations());
-    if (state.thread_index() == 0) {
-        delete table;
-        table = nullptr;
-    }
-}
-BENCHMARK(BM_ShardedIndexMixed)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->ThreadRange(1, 4)
-    ->UseRealTime();
 
 void
 BM_HistoryBufferAppend(benchmark::State &state)

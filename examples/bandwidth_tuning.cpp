@@ -46,9 +46,10 @@ main(int argc, char **argv)
     double best_p = 0.0;
     for (double p : std::vector<double>{1.0, 0.5, 0.25, 0.125, 0.0625,
                                         0.03125}) {
-        StmsConfig config;
-        config.samplingProbability = p;
-        RunOutput out = runTrace(trace, defaultSimConfig(), config);
+        RunConfig config;
+        config.stms.emplace();
+        config.stms->samplingProbability = p;
+        RunOutput out = runTrace(trace, config);
         std::printf("%-10.4f %-8.3f %-10.1f %-10.1f %-10.2f %.0f%%\n",
                     p, out.sim.ipc,
                     100.0 * speedup(base.sim, out.sim),

@@ -28,21 +28,23 @@ main(int argc, char **argv)
     Options options = Options::fromArgs(argc, argv);
     const auto records = options.getUint("records", 256 * 1024);
 
-    StmsConfig practical;
-    practical.samplingProbability = options.getDouble("sampling", 0.125);
-    practical.historyEntriesPerCore =
+    RunConfig ideal;
+    ideal.stms = makeIdealTmsConfig();
+    RunConfig practical;
+    practical.stms.emplace();
+    practical.stms->samplingProbability =
+        options.getDouble("sampling", 0.125);
+    practical.stms->historyEntriesPerCore =
         options.getUint("history", 1ULL << 20);
-    practical.indexBytes = options.getUint("index", 16ULL << 20);
+    practical.stms->indexBytes = options.getUint("index", 16ULL << 20);
 
     for (const char *name : {"oltp-db2", "oltp-oracle"}) {
         const Trace &trace =
             driver::globalTraceCache().get(name, records);
 
         RunOutput base = runTrace(trace, RunConfig{});
-        RunOutput magic =
-            runTrace(trace, defaultSimConfig(), makeIdealTmsConfig());
-        RunOutput stms =
-            runTrace(trace, defaultSimConfig(), practical);
+        RunOutput magic = runTrace(trace, ideal);
+        RunOutput stms = runTrace(trace, practical);
 
         std::printf("== %s (%llu accesses)\n", name,
                     static_cast<unsigned long long>(

@@ -3,11 +3,10 @@
  * In-bucket storage and LRU mechanics of the index table (Sec. 4.3).
  *
  * One bucket models a single 64-byte memory block holding up to
- * twelve {key, pointer} pairs kept in LRU order, MRU at slot 0. The
- * mechanics are shared by IndexTable and ShardedIndexTable so the two
- * structures cannot drift: the sharded table must stay bit-identical
- * to the unsharded one for any shard count, and that guarantee is
- * structural (same code), not just tested.
+ * twelve {key, pointer} pairs kept in LRU order, MRU at slot 0.
+ * IndexTable owns the policy around it (keying by block number, the
+ * bucket hash, stats, the unbounded mode); this file owns only the
+ * bucket layout and its probe/update mechanics.
  *
  * Storage is structure-of-arrays, tuned for the probe fast path:
  *

@@ -29,9 +29,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 #include "common/types.hh"
-#include "common/zeroed_buffer.hh"
 #include "core/index_bucket.hh"
 
 namespace stms
@@ -82,18 +82,6 @@ struct IndexTableStats
     std::uint64_t replacements = 0;
 };
 
-/** Field-wise accumulate (per-shard stats merge into the aggregate). */
-inline IndexTableStats &
-operator+=(IndexTableStats &lhs, const IndexTableStats &rhs)
-{
-    lhs.lookups += rhs.lookups;
-    lhs.lookupHits += rhs.lookupHits;
-    lhs.updates += rhs.updates;
-    lhs.inserts += rhs.inserts;
-    lhs.replacements += rhs.replacements;
-    return lhs;
-}
-
 inline bool
 operator==(const IndexTableStats &lhs, const IndexTableStats &rhs)
 {
@@ -102,12 +90,6 @@ operator==(const IndexTableStats &lhs, const IndexTableStats &rhs)
            lhs.updates == rhs.updates && lhs.inserts == rhs.inserts &&
            lhs.replacements == rhs.replacements;
 }
-
-/** Probe distance of the batched index APIs: while element i is
- *  probed, element i + kProbeAhead's bucket is software-prefetched.
- *  Far enough to cover a memory round trip at ~10ns/probe, near
- *  enough that prefetched lines survive until their probe. */
-inline constexpr std::size_t kIndexProbeAhead = 8;
 
 /** Bucketized LRU hash table from block address to history pointer. */
 class IndexTable
@@ -129,28 +111,17 @@ class IndexTable
      */
     void update(Addr block, HistoryPointer pointer);
 
-    /**
-     * Probe a batch of blocks: bit-identical to calling lookup() on
-     * each element in order (same results, stats, and LRU motion),
-     * but each probe's bucket lines are software-prefetched
-     * kIndexProbeAhead probes early, hiding the host cache misses a
-     * multi-megabyte table takes on every random probe.
-     * @p out must hold at least blocks.size() elements.
-     */
-    void lookupBatch(std::span<const Addr> blocks,
-                     std::span<std::optional<HistoryPointer>> out);
-
-    /** Batched update(): bit-identical to the element-wise loop, with
-     *  the same one-batch-ahead bucket prefetch as lookupBatch. */
-    void updateBatch(std::span<const Addr> blocks,
-                     std::span<const HistoryPointer> pointers);
-
     /** Software-prefetch the buckets @p blocks hash to (host cache
      *  warm-up hint; no architectural effect, no stats). */
     void prefetchBatch(std::span<const Addr> blocks) const;
 
     /** Bucket number @p block hashes to (for bucket-buffer modeling). */
-    std::uint64_t bucketOf(Addr block) const;
+    std::uint64_t
+    bucketOf(Addr block) const
+    {
+        return unbounded() ? 0
+                           : hashToBucket(blockNumber(block), buckets_);
+    }
 
     std::uint64_t numBuckets() const { return buckets_; }
     bool unbounded() const { return buckets_ == 0; }

@@ -40,7 +40,6 @@
 #include "core/history_buffer.hh"
 #include "core/index_table.hh"
 #include "core/sampler.hh"
-#include "core/sharded_index_table.hh"
 #include "prefetch/prefetcher.hh"
 #include "stats/histogram.hh"
 
@@ -64,15 +63,6 @@ struct StmsConfig
 
     /** Index-table main-memory footprint in bytes; 0 = unbounded. */
     std::uint64_t indexBytes = 16ULL << 20;
-
-    /**
-     * Lock-striped index-table shards; 1 = the unsharded legacy
-     * structure. Sharding never changes model results — buckets keep
-     * their global hash assignment regardless of the shard count —
-     * it only spreads lock contention when concurrent runs share a
-     * table (see core/sharded_index_table.hh).
-     */
-    std::uint32_t indexShards = 1;
 
     /** {address, pointer} pairs per 64-byte bucket (Sec. 5.4). */
     std::uint32_t entriesPerBucket = 12;
@@ -180,7 +170,7 @@ class StmsPrefetcher : public Prefetcher
     void onForeignCovered(CoreId core, Addr block) override;
 
     /** Chunk-dispatch hint: warm the index buckets the upcoming
-     *  accesses would probe (ShardedIndexTable::prefetchBatch).
+     *  accesses would probe (IndexTable::prefetchBatch).
      *  Host-side only; never touches model state or stats. */
     void onAccessHint(CoreId core,
                       std::span<const Addr> addrs) override;
@@ -189,8 +179,8 @@ class StmsPrefetcher : public Prefetcher
 
     const StmsStats &stats() const { return stats_; }
     const StmsConfig &config() const { return config_; }
-    const ShardedIndexTable &indexTable() const { return index_; }
-    ShardedIndexTable &indexTable() { return index_; }
+    const IndexTable &indexTable() const { return index_; }
+    IndexTable &indexTable() { return index_; }
     const HistoryBuffer &historyBuffer(CoreId core) const;
     /** Mutable history access (tests/tools, e.g. planting end marks). */
     HistoryBuffer &historyBufferMutable(CoreId core)
@@ -344,7 +334,7 @@ class StmsPrefetcher : public Prefetcher
 
     StmsConfig config_;
     std::string name_ = "stms";
-    ShardedIndexTable index_;
+    IndexTable index_;
     BucketBuffer bucketBuffer_;
     UpdateSampler sampler_;
     std::vector<std::unique_ptr<HistoryBuffer>> history_;

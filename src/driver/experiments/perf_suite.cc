@@ -14,8 +14,8 @@
  *              queues.
  *
  * and reports records/sec, per-stage wall time, and peak RSS for
- * each. Like index_contention, this is a measurement harness: plan()
- * is empty and the work happens in report() on real host threads.
+ * each. It is a measurement harness: plan() is empty and the work
+ * happens in report() on real host threads.
  *
  * Determinism is gated where the numbers are made: the encoded
  * RunOutput scalars of every run must be bit-identical across the
@@ -112,8 +112,8 @@ class PerfSuite final : public ExperimentBase
     std::vector<RunSpec>
     plan(const Options &) const override
     {
-        // A host-side measurement harness (like index_contention):
-        // the sweeps run inside report() with their own runners.
+        // A host-side measurement harness: the sweeps run inside
+        // report() with their own runners.
         return {};
     }
 

@@ -74,11 +74,6 @@ RunOutput runTrace(const Trace &trace, const RunConfig &config);
 RunOutput runTrace(trace_io::TraceSource &source,
                    const RunConfig &config);
 
-/** Back-compat convenience matching the old bench-harness signature. */
-RunOutput runTrace(const Trace &trace, const SimConfig &sim_config,
-                   const std::optional<StmsConfig> &stms_config,
-                   double warmup_fraction = 0.25);
-
 /** Relative speedup of @p opt over @p base (0.10 = +10%). */
 double speedup(const SimResult &base, const SimResult &opt);
 

@@ -1,9 +1,6 @@
-/** @file Bit-equality tests of the batched index-probe API: for both
- *  IndexTable and ShardedIndexTable (shard counts {1,2,3,4,8}),
- *  bounded and unbounded, lookupBatch/updateBatch must reproduce the
- *  element-wise scalar loop exactly — results, stats, occupancy, and
- *  subsequent table state — and prefetchBatch must be architecturally
- *  inert. The software prefetch is a host-cache hint only. */
+/** @file IndexTable::prefetchBatch must be architecturally inert: the
+ *  software prefetch is a host-cache hint only, so warming buckets
+ *  never changes results, stats, occupancy, or LRU order. */
 
 #include <gtest/gtest.h>
 
@@ -12,7 +9,6 @@
 
 #include "common/hash.hh"
 #include "core/index_table.hh"
-#include "core/sharded_index_table.hh"
 
 namespace stms
 {
@@ -20,7 +16,7 @@ namespace
 {
 
 /** Deterministic probe/update mix over a keyed address space; the
- *  sub-block offsets exercise key normalization inside the batch. */
+ *  sub-block offsets exercise key normalization. */
 struct Workload
 {
     std::vector<Addr> updateBlocks;
@@ -46,10 +42,9 @@ makeWorkload(std::uint64_t ops, std::uint64_t key_space)
     return load;
 }
 
-/** Drive @p table element-wise — the reference the batch must match. */
-template <typename TableT>
+/** Drive @p table element-wise through update() then lookup(). */
 std::vector<std::optional<HistoryPointer>>
-runScalar(TableT &table, const Workload &load)
+runScalar(IndexTable &table, const Workload &load)
 {
     for (std::size_t i = 0; i < load.updateBlocks.size(); ++i)
         table.update(load.updateBlocks[i], load.updatePointers[i]);
@@ -60,133 +55,18 @@ runScalar(TableT &table, const Workload &load)
     return results;
 }
 
-/** Drive @p table through the batched API on the same op stream. */
-template <typename TableT>
-std::vector<std::optional<HistoryPointer>>
-runBatched(TableT &table, const Workload &load)
-{
-    table.prefetchBatch(load.updateBlocks);  // Must be inert.
-    table.updateBatch(load.updateBlocks, load.updatePointers);
-    std::vector<std::optional<HistoryPointer>> results(
-        load.lookupBlocks.size());
-    table.lookupBatch(load.lookupBlocks, results);
-    return results;
-}
-
-void
-expectSameResults(
-    const std::vector<std::optional<HistoryPointer>> &expect,
-    const std::vector<std::optional<HistoryPointer>> &got)
-{
-    ASSERT_EQ(expect.size(), got.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        ASSERT_EQ(expect[i].has_value(), got[i].has_value())
-            << "probe " << i;
-        if (expect[i]) {
-            EXPECT_EQ(expect[i]->core, got[i]->core) << "probe " << i;
-            EXPECT_EQ(expect[i]->seq, got[i]->seq) << "probe " << i;
-        }
-    }
-}
-
-TEST(BatchedProbe, IndexTableBatchMatchesScalarBounded)
-{
-    const Workload load = makeWorkload(20000, 1 << 12);
-    IndexTable scalar(1 << 17, 4);
-    IndexTable batched(1 << 17, 4);
-    const auto expect = runScalar(scalar, load);
-    const auto got = runBatched(batched, load);
-    expectSameResults(expect, got);
-    EXPECT_TRUE(scalar.stats() == batched.stats());
-    EXPECT_EQ(scalar.occupancy(), batched.occupancy());
-    EXPECT_EQ(scalar.occupancyScan(), batched.occupancyScan());
-}
-
-TEST(BatchedProbe, IndexTableBatchMatchesScalarUnbounded)
-{
-    const Workload load = makeWorkload(10000, 1 << 11);
-    IndexTable scalar(0);
-    IndexTable batched(0);
-    const auto expect = runScalar(scalar, load);
-    const auto got = runBatched(batched, load);
-    expectSameResults(expect, got);
-    EXPECT_TRUE(scalar.stats() == batched.stats());
-    EXPECT_EQ(scalar.occupancy(), batched.occupancy());
-}
-
-TEST(BatchedProbe, ShardedBatchMatchesScalarForEveryShardCount)
-{
-    const Workload load = makeWorkload(20000, 1 << 12);
-    for (std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
-        ShardedIndexTable scalar(1 << 17, 4, shards);
-        ShardedIndexTable batched(1 << 17, 4, shards);
-        const auto expect = runScalar(scalar, load);
-        const auto got = runBatched(batched, load);
-        expectSameResults(expect, got);
-        EXPECT_TRUE(scalar.stats() == batched.stats())
-            << "shards=" << shards;
-        EXPECT_EQ(scalar.occupancy(), batched.occupancy())
-            << "shards=" << shards;
-        // Per-shard stats must match too: the batch routes every
-        // probe to the same shard as the scalar path.
-        for (std::uint32_t s = 0; s < shards; ++s) {
-            EXPECT_TRUE(scalar.shardStats(s) == batched.shardStats(s))
-                << "shards=" << shards << " shard=" << s;
-        }
-    }
-}
-
-TEST(BatchedProbe, ShardedBatchMatchesScalarUnbounded)
-{
-    const Workload load = makeWorkload(10000, 1 << 11);
-    for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-        ShardedIndexTable scalar(0, 12, shards);
-        ShardedIndexTable batched(0, 12, shards);
-        const auto expect = runScalar(scalar, load);
-        const auto got = runBatched(batched, load);
-        expectSameResults(expect, got);
-        EXPECT_TRUE(scalar.stats() == batched.stats())
-            << "shards=" << shards;
-        EXPECT_EQ(scalar.occupancy(), batched.occupancy());
-    }
-}
-
-TEST(BatchedProbe, BatchMatchesScalarAgainstIndexTableAcrossShards)
-{
-    // Transitivity check pinned end to end: sharded batched probes
-    // equal the *unsharded scalar* reference for every shard count.
-    const Workload load = makeWorkload(15000, 1 << 12);
-    IndexTable reference(1 << 17, 4);
-    const auto expect = runScalar(reference, load);
-    for (std::uint32_t shards : {1u, 3u, 8u}) {
-        ShardedIndexTable sharded(1 << 17, 4, shards);
-        const auto got = runBatched(sharded, load);
-        expectSameResults(expect, got);
-        EXPECT_TRUE(reference.stats() == sharded.stats())
-            << "shards=" << shards;
-        EXPECT_EQ(reference.occupancy(), sharded.occupancy());
-    }
-}
-
 TEST(BatchedProbe, PrefetchBatchIsArchitecturallyInert)
 {
     const Workload load = makeWorkload(5000, 1 << 10);
     IndexTable plain(1 << 16, 12);
-    ShardedIndexTable sharded(1 << 16, 12, 4);
     runScalar(plain, load);
-    runScalar(sharded, load);
     const IndexTableStats plain_before = plain.stats();
-    const IndexTableStats sharded_before = sharded.stats();
     const std::uint64_t plain_pairs = plain.occupancy();
-    const std::uint64_t sharded_pairs = sharded.occupancy();
 
     plain.prefetchBatch(load.lookupBlocks);
-    sharded.prefetchBatch(load.lookupBlocks);
 
     EXPECT_TRUE(plain.stats() == plain_before);
-    EXPECT_TRUE(sharded.stats() == sharded_before);
     EXPECT_EQ(plain.occupancy(), plain_pairs);
-    EXPECT_EQ(sharded.occupancy(), sharded_pairs);
     // LRU order untouched: the same probes still hit identically.
     IndexTable replay(1 << 16, 12);
     runScalar(replay, load);
@@ -199,29 +79,18 @@ TEST(BatchedProbe, PrefetchBatchIsArchitecturallyInert)
 TEST(BatchedProbe, EmptyAndTinyBatchesAreSafe)
 {
     IndexTable table(1 << 14, 12);
-    ShardedIndexTable sharded(1 << 14, 12, 3);
-    std::vector<Addr> none;
-    std::vector<std::optional<HistoryPointer>> out;
-    table.lookupBatch(none, out);
-    table.updateBatch(none, {});
+    IndexTable unbounded(0);
+    const std::vector<Addr> none;
     table.prefetchBatch(none);
-    sharded.lookupBatch(none, out);
-    sharded.updateBatch(none, {});
-    sharded.prefetchBatch(none);
+    unbounded.prefetchBatch(none);
 
-    // A batch shorter than the probe-ahead distance (prefetch windows
-    // degenerate but every element still probes once).
     const std::vector<Addr> few = {blockAddress(1), blockAddress(2)};
-    const std::vector<HistoryPointer> pointers = {
-        HistoryPointer{0, 10}, HistoryPointer{1, 11}};
-    table.updateBatch(few, pointers);
-    std::vector<std::optional<HistoryPointer>> results(few.size());
-    table.lookupBatch(few, results);
-    ASSERT_TRUE(results[0] && results[1]);
-    EXPECT_EQ(results[0]->seq, 10u);
-    EXPECT_EQ(results[1]->seq, 11u);
-    EXPECT_EQ(table.stats().lookups, 2u);
-    EXPECT_EQ(table.stats().updates, 2u);
+    table.prefetchBatch(few);
+    unbounded.prefetchBatch(few);
+    EXPECT_TRUE(table.stats() == IndexTableStats{});
+    EXPECT_TRUE(unbounded.stats() == IndexTableStats{});
+    EXPECT_EQ(table.occupancy(), 0u);
+    EXPECT_EQ(unbounded.occupancy(), 0u);
 }
 
 } // namespace

@@ -189,7 +189,27 @@ TEST(IndexTable, StatsCountHitsAndMisses)
     EXPECT_EQ(table.stats().updates, 1u);
     EXPECT_EQ(table.stats().inserts, 1u);
     table.resetStats();
-    EXPECT_EQ(table.stats().lookups, 0u);
+    EXPECT_TRUE(table.stats() == IndexTableStats{});
+    // The warmup barrier zeroes counters, never the learned mappings.
+    EXPECT_EQ(table.occupancy(), 1u);
+    EXPECT_TRUE(table.lookup(blockAddress(5)).has_value());
+}
+
+TEST(IndexTable, SmallTableRetainsExactlyItsCapacity)
+{
+    // 10 buckets of 2 pairs (a bucket count that is no power of two):
+    // heavy churn must leave every bucket full, and exactly the
+    // retained pairs hit.
+    IndexTable table(10 * kBlockBytes, 2);
+    EXPECT_EQ(table.numBuckets(), 10u);
+    for (Addr i = 0; i < 1000; ++i)
+        table.update(blockAddress(i), HistoryPointer{0, i});
+    EXPECT_EQ(table.occupancy(), table.occupancyScan());
+    EXPECT_EQ(table.occupancy(), 10u * 2u);
+    std::uint64_t hits = 0;
+    for (Addr i = 0; i < 1000; ++i)
+        hits += table.lookup(blockAddress(i)).has_value() ? 1 : 0;
+    EXPECT_EQ(hits, 10u * 2u);
 }
 
 TEST(IndexTable, FootprintMatchesConfiguredBytes)
@@ -197,6 +217,14 @@ TEST(IndexTable, FootprintMatchesConfiguredBytes)
     IndexTable table(16ULL << 20);
     EXPECT_EQ(table.footprintBytes(), 16ULL << 20);
     EXPECT_EQ(table.numBuckets(), (16ULL << 20) / kBlockBytes);
+
+    // The idealized table has no fixed size: its footprint is the
+    // stored pairs at the bounded table's packing density.
+    IndexTable unbounded(0, 12);
+    EXPECT_EQ(unbounded.footprintBytes(), 0u);
+    for (Addr i = 0; i < 25; ++i)
+        unbounded.update(blockAddress(i), HistoryPointer{0, i});
+    EXPECT_EQ(unbounded.footprintBytes(), 3 * kBlockBytes);
 }
 
 TEST(IndexTable, HashSpreadsAcrossBuckets)

@@ -185,40 +185,6 @@ TEST(DriverCli, StoreFlagsParse)
     parse({"--rerun=1"}, /*expect_ok=*/false);
 }
 
-TEST(DriverCli, IndexShardsFlagFlowsToOptions)
-{
-    // Both spellings land in the "index-shards" experiment option so
-    // the value participates in result-store fingerprints.
-    const DriverArgs space =
-        parse({"--experiment", "fig7", "--index-shards", "4"});
-    EXPECT_EQ(space.options.getUint("index-shards", 1), 4u);
-    const DriverArgs equals =
-        parse({"--experiment=fig7", "--index-shards=8"});
-    EXPECT_EQ(equals.options.getUint("index-shards", 1), 8u);
-
-    // The bare key=value spelling routes through the same path.
-    const DriverArgs bare = parse({"-e", "fig7", "index-shards=16"});
-    EXPECT_EQ(bare.options.getUint("index-shards", 1), 16u);
-
-    // One shard IS the legacy structure: every spelling of it is
-    // canonicalized away so the fingerprint (and every archived
-    // record) stays unchanged.
-    for (const char *spelling :
-         {"--index-shards=1", "index-shards=1"}) {
-        const DriverArgs legacy =
-            parse({"--experiment", "fig7", spelling});
-        EXPECT_FALSE(legacy.options.has("index-shards")) << spelling;
-    }
-    const DriverArgs legacy =
-        parse({"--experiment", "fig7", "--index-shards", "1"});
-    EXPECT_FALSE(legacy.options.has("index-shards"));
-
-    parse({"--index-shards", "0"}, /*expect_ok=*/false);
-    parse({"--index-shards=junk"}, /*expect_ok=*/false);
-    parse({"index-shards=0"}, /*expect_ok=*/false);
-    parse({"--index-shards"}, /*expect_ok=*/false);
-}
-
 TEST(DriverCli, ShardParses)
 {
     const DriverArgs args = parse(
