@@ -189,10 +189,23 @@ TEST(IndexTable, StatsCountHitsAndMisses)
     EXPECT_EQ(table.stats().updates, 1u);
     EXPECT_EQ(table.stats().inserts, 1u);
     table.resetStats();
+    EXPECT_EQ(table.stats().lookups, 0u);
+}
+
+TEST(IndexTable, ResetStatsKeepsContents)
+{
+    IndexTable table(1 << 14, 12);
+    for (Addr i = 0; i < 100; ++i) {
+        table.update(blockAddress(i), HistoryPointer{0, i});
+        table.lookup(blockAddress(i));
+    }
+    EXPECT_GT(table.stats().lookups, 0u);
+    const auto occupied = table.occupancy();
+    table.resetStats();
     EXPECT_TRUE(table.stats() == IndexTableStats{});
     // The warmup barrier zeroes counters, never the learned mappings.
-    EXPECT_EQ(table.occupancy(), 1u);
-    EXPECT_TRUE(table.lookup(blockAddress(5)).has_value());
+    EXPECT_EQ(table.occupancy(), occupied);
+    EXPECT_TRUE(table.lookup(blockAddress(99)).has_value());
 }
 
 TEST(IndexTable, SmallTableRetainsExactlyItsCapacity)
@@ -217,7 +230,10 @@ TEST(IndexTable, FootprintMatchesConfiguredBytes)
     IndexTable table(16ULL << 20);
     EXPECT_EQ(table.footprintBytes(), 16ULL << 20);
     EXPECT_EQ(table.numBuckets(), (16ULL << 20) / kBlockBytes);
+}
 
+TEST(IndexTable, UnboundedFootprintCountsStoredPairs)
+{
     // The idealized table has no fixed size: its footprint is the
     // stored pairs at the bounded table's packing density.
     IndexTable unbounded(0, 12);
