@@ -34,15 +34,24 @@ Options::parseToken(const std::string &token)
     return true;
 }
 
+void
+Options::markRead(const std::string &key) const
+{
+    if (values_.count(key) != 0)
+        read_.insert(key);
+}
+
 bool
 Options::has(const std::string &key) const
 {
+    markRead(key);
     return values_.count(key) != 0;
 }
 
 std::string
 Options::get(const std::string &key, const std::string &fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
 }
@@ -50,6 +59,7 @@ Options::get(const std::string &key, const std::string &fallback) const
 std::int64_t
 Options::getInt(const std::string &key, std::int64_t fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
@@ -59,6 +69,7 @@ Options::getInt(const std::string &key, std::int64_t fallback) const
 std::uint64_t
 Options::getUint(const std::string &key, std::uint64_t fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
@@ -68,6 +79,7 @@ Options::getUint(const std::string &key, std::uint64_t fallback) const
 double
 Options::getDouble(const std::string &key, double fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
@@ -77,6 +89,7 @@ Options::getDouble(const std::string &key, double fallback) const
 bool
 Options::getBool(const std::string &key, bool fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
@@ -111,6 +124,16 @@ std::vector<std::pair<std::string, std::string>>
 Options::items() const
 {
     return {values_.begin(), values_.end()};
+}
+
+std::vector<std::string>
+Options::unreadKeys() const
+{
+    std::vector<std::string> result;
+    for (const auto &[key, value] : values_)
+        if (read_.count(key) == 0)
+            result.push_back(key);
+    return result;
 }
 
 std::uint64_t

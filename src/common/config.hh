@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,8 +53,21 @@ class Options
      *  and persists an experiment's options in this shape). */
     std::vector<std::pair<std::string, std::string>> items() const;
 
+    /** Keys present but never looked up through has()/get*() since
+     *  construction or the last forgetReads(), sorted. The driver
+     *  rejects these after planning: nothing would read them. */
+    std::vector<std::string> unreadKeys() const;
+
+    /** Forget which keys were read (a copy inherits its source's). */
+    void forgetReads() { read_.clear(); }
+
   private:
+    /** Record a lookup of @p key. Not synchronized: Options are read
+     *  by one thread at a time (plan/report, never the run workers). */
+    void markRead(const std::string &key) const;
+
     std::map<std::string, std::string> values_;
+    mutable std::set<std::string> read_;
 };
 
 /** Parse a size string like "64M", "8K", "512" into bytes. */

@@ -129,7 +129,9 @@ const char kUsage[] =
     "                    when stderr is a TTY; --no-progress forces "
     "off)\n"
     "  key=value         experiment options (e.g. records=65536, "
-    "chunk=4096)\n";
+    "chunk=4096);\n"
+    "                    a key no selected experiment reads is an "
+    "error\n";
 
 /** Strict unsigned parse: the whole token must be a number. */
 bool
@@ -419,6 +421,25 @@ runExperiments(const DriverArgs &args)
         selected.push_back(experiment);
     }
 
+    // Plan every selected experiment before anything runs: a key=value
+    // option that no plan read would change nothing but the store
+    // fingerprint, so it is rejected before any simulation or store
+    // write. Reads made while parsing the command line do not count.
+    Options options = args.options;
+    options.forgetReads();
+    std::vector<std::vector<RunSpec>> plans;
+    plans.reserve(selected.size());
+    for (const Experiment *experiment : selected)
+        plans.push_back(
+            planRuns(*experiment, options, args.sampleEvery));
+    const std::vector<std::string> unread = options.unreadKeys();
+    for (const std::string &key : unread) {
+        logRaw("unknown option '" + key +
+               "' (no selected experiment reads it)\n");
+    }
+    if (!unread.empty())
+        return 1;
+
     std::unique_ptr<results::ResultStore> store;
     if (!args.storePath.empty()) {
         std::string error;
@@ -451,9 +472,11 @@ runExperiments(const DriverArgs &args)
     // Shard mode archives runs without reporting: report() needs the
     // whole plan, and this invocation deliberately executes a slice.
     if (args.shardCount > 0) {
-        for (const Experiment *experiment : selected) {
+        for (std::size_t i = 0; i < selected.size(); ++i) {
+            const Experiment *experiment = selected[i];
             ExecStats stats;
-            runner.execute(*experiment, args.options, &stats);
+            runner.execute(*experiment, options, std::move(plans[i]),
+                           &stats);
             stms_inform("[%s] shard %u/%u: %zu of %zu runs "
                         "(%zu resumed, %zu other-shard)",
                         experiment->name().c_str(), args.shardIndex,
@@ -471,7 +494,10 @@ runExperiments(const DriverArgs &args)
     for (std::size_t i = 0; i < selected.size(); ++i) {
         const Experiment &experiment = *selected[i];
         ExecStats stats;
-        Report report = runner.run(experiment, args.options, &stats);
+        Report report = experiment.report(
+            options,
+            runner.execute(experiment, options, std::move(plans[i]),
+                           &stats));
         if (args.timing)
             report.setTiming(makeReportTiming(stats));
         if (store) {
@@ -479,8 +505,8 @@ runExperiments(const DriverArgs &args)
                         "executed",
                         experiment.name().c_str(), stats.resumed,
                         stats.planned, stats.executed);
-            results::ResultRecord record = makeExperimentRecord(
-                experiment, args.options, report);
+            results::ResultRecord record =
+                makeExperimentRecord(experiment, options, report);
             if (store->append(record, args.rerun)) {
                 stms_inform("[%s] store: recorded %s",
                             experiment.name().c_str(),

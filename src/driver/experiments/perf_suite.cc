@@ -87,6 +87,30 @@ modelDigest(const std::vector<RunSpec> &plan, const RunSet &runs)
     return digest;
 }
 
+/** The options report() consumes. */
+struct SweepKnobs
+{
+    /** fig7's options: 64Ki records/core unless the caller overrides.
+     *  The pinned defaults are what BENCH_*.json trajectories compare
+     *  across commits (docs/PERF.md). */
+    Options sweepOptions;
+    std::uint32_t pipelineThreads = 2;
+    std::uint64_t pipelineChunk = 0;
+};
+
+SweepKnobs
+sweepKnobs(const Options &options)
+{
+    SweepKnobs knobs;
+    knobs.sweepOptions = options;
+    if (!options.has("records"))
+        knobs.sweepOptions.set("records", "65536");
+    knobs.pipelineThreads =
+        static_cast<std::uint32_t>(options.getUint("threads", 2));
+    knobs.pipelineChunk = options.getUint("pipeline-chunk", 0);
+    return knobs;
+}
+
 /** One schedule's measurement. */
 struct ModeResult
 {
@@ -110,10 +134,13 @@ class PerfSuite final : public ExperimentBase
     {}
 
     std::vector<RunSpec>
-    plan(const Options &) const override
+    plan(const Options &options) const override
     {
         // A host-side measurement harness: the sweeps run inside
-        // report() with their own runners.
+        // report() with their own runners. Reading the knobs here
+        // marks them used, so the driver rejects any other key
+        // before a sweep starts.
+        sweepKnobs(options);
         return {};
     }
 
@@ -125,15 +152,8 @@ class PerfSuite final : public ExperimentBase
         stms_assert(fig7 != nullptr,
                     "perf_suite needs the fig7 experiment");
 
-        // Pin the sweep: fig7's plan at 64Ki records/core unless the
-        // caller overrides. The pinned defaults are what BENCH_*.json
-        // trajectories compare across commits (docs/PERF.md).
-        Options sweep_options = options;
-        if (!sweep_options.has("records"))
-            sweep_options.set("records", "65536");
-        const std::uint32_t pipeline_threads = static_cast<
-            std::uint32_t>(options.getUint("threads", 2));
-
+        const SweepKnobs knobs = sweepKnobs(options);
+        const Options &sweep_options = knobs.sweepOptions;
         const std::vector<RunSpec> plan = fig7->plan(sweep_options);
         std::uint64_t plan_records = 0;
         PinnedSweep sweep("perf_sweep", plan);
@@ -144,10 +164,9 @@ class PerfSuite final : public ExperimentBase
             // schedule overlaps with simulation).
             TraceCache cache;
             RunnerConfig config;
-            config.threads = pipelined ? pipeline_threads : 1;
+            config.threads = pipelined ? knobs.pipelineThreads : 1;
             config.pipeline = pipelined;
-            config.pipelineChunkRecords =
-                options.getUint("pipeline-chunk", 0);
+            config.pipelineChunkRecords = knobs.pipelineChunk;
             ExperimentRunner runner(cache, config);
             ModeResult result;
             // Isolate this schedule's RSS high-water mark so the

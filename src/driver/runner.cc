@@ -69,6 +69,15 @@ traceRunEnd(std::size_t index, const std::string &id)
         sink->asyncEnd("run", index, id);
 }
 
+/** The counter-sampling epoch in force: @p configured, else the
+ *  process-wide telemetry default. */
+std::uint64_t
+resolvedSampleEvery(std::uint64_t configured)
+{
+    return configured != 0 ? configured
+                           : telemetry::globalSampleEvery();
+}
+
 } // namespace
 
 std::uint64_t
@@ -144,12 +153,10 @@ ExperimentRunner::ExperimentRunner(TraceCache &traces,
     }
 }
 
-RunSet
-ExperimentRunner::execute(const Experiment &experiment,
-                          const Options &options,
-                          ExecStats *stats) const
+std::vector<RunSpec>
+planRuns(const Experiment &experiment, const Options &options,
+         std::uint64_t sampleEvery)
 {
-    const Clock::time_point wall_start = Clock::now();
     std::vector<RunSpec> plan = experiment.plan(options);
 
     // --mem-backend applies here, after plan(), so every experiment
@@ -170,14 +177,31 @@ ExperimentRunner::execute(const Experiment &experiment,
     // it must never reach normalizedParams()/fingerprints. Probes
     // only read counters, so model output is untouched (the
     // telemetry determinism tests byte-compare exactly that).
-    const std::uint64_t sample_every =
-        config_.sampleEvery != 0 ? config_.sampleEvery
-                                 : telemetry::globalSampleEvery();
+    const std::uint64_t sample_every = resolvedSampleEvery(sampleEvery);
     if (sample_every != 0) {
         for (RunSpec &spec : plan)
             spec.config.sim.sampleEvery = sample_every;
     }
+    return plan;
+}
 
+RunSet
+ExperimentRunner::execute(const Experiment &experiment,
+                          const Options &options,
+                          ExecStats *stats) const
+{
+    return execute(experiment, options,
+                   planRuns(experiment, options, config_.sampleEvery),
+                   stats);
+}
+
+RunSet
+ExperimentRunner::execute(const Experiment &experiment,
+                          const Options &options,
+                          std::vector<RunSpec> plan,
+                          ExecStats *stats) const
+{
+    const Clock::time_point wall_start = Clock::now();
     ExecStats local;
     local.planned = plan.size();
 
@@ -513,7 +537,7 @@ ExperimentRunner::execute(const Experiment &experiment,
     // series move out of the outputs here: they are timing-style
     // observations, reported under the timing key and never part of
     // the model output RunSet/report consumers see.
-    local.sampleEvery = sample_every;
+    local.sampleEvery = resolvedSampleEvery(config_.sampleEvery);
     for (const std::size_t index : pending) {
         RunTiming &timing = timings[index];
         timing.id = plan[index].id;

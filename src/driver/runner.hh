@@ -149,6 +149,15 @@ std::uint64_t peakRssKb();
  */
 bool resetPeakRss();
 
+/**
+ * The runs an ExperimentRunner simulates for @p experiment: its
+ * plan() with the "mem-backend" override and the counter-sampling
+ * epoch applied (@p sampleEvery, 0 = the process-wide default).
+ */
+std::vector<RunSpec> planRuns(const Experiment &experiment,
+                              const Options &options,
+                              std::uint64_t sampleEvery);
+
 /** Executes experiment plans over a shared trace cache. */
 class ExperimentRunner
 {
@@ -163,6 +172,11 @@ class ExperimentRunner
      */
     RunSet execute(const Experiment &experiment,
                    const Options &options,
+                   ExecStats *stats = nullptr) const;
+
+    /** Execute @p plan, made by planRuns() for the same arguments. */
+    RunSet execute(const Experiment &experiment, const Options &options,
+                   std::vector<RunSpec> plan,
                    ExecStats *stats = nullptr) const;
 
     /** Plan, execute, and report in one call. */

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
+#include <string>
+#include <unistd.h>
 
 #include "driver/cli.hh"
 
@@ -23,6 +26,28 @@ parse(std::vector<const char *> tokens, bool expect_ok = true)
         const_cast<char **>(tokens.data()), args, error);
     EXPECT_EQ(ok, expect_ok) << error;
     return args;
+}
+
+/** What driverMain printed, and its exit status. */
+struct DriverRun
+{
+    int status = 0;
+    std::string out;
+    std::string err;
+};
+
+DriverRun
+runDriver(std::vector<const char *> tokens)
+{
+    tokens.insert(tokens.begin(), "driver");
+    DriverRun run;
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    run.status = driverMain(static_cast<int>(tokens.size()),
+                            const_cast<char **>(tokens.data()));
+    run.err = testing::internal::GetCapturedStderr();
+    run.out = testing::internal::GetCapturedStdout();
+    return run;
 }
 
 TEST(DriverCli, SpaceSeparatedFlags)
@@ -223,6 +248,57 @@ TEST(DriverCli, ResultsModeCollectsOperands)
 
     // Bare operands stay rejected outside results mode.
     parse({"--experiment", "fig7", "bogus"}, /*expect_ok=*/false);
+}
+
+TEST(DriverCliOptions, UnreadOptionRejectedInEitherSpelling)
+{
+    // Neither key is read by table2's plan: running it anyway would
+    // archive an identical experiment under a new fingerprint.
+    const std::filesystem::path store =
+        std::filesystem::temp_directory_path() /
+        ("stms_cli_unread." + std::to_string(getpid()));
+    std::filesystem::remove_all(store);
+    for (const char *token : {"--index-shards=4", "index-shards=4"}) {
+        const DriverRun run =
+            runDriver({"--experiment", "table2", token, "records=1024",
+                       "--store", store.c_str()});
+        EXPECT_EQ(run.status, 1) << token;
+        EXPECT_NE(run.err.find("unknown option 'index-shards' (no "
+                               "selected experiment reads it)"),
+                  std::string::npos)
+            << run.err;
+        EXPECT_TRUE(run.out.empty()) << run.out;
+        // Rejected before the store is even opened.
+        EXPECT_FALSE(std::filesystem::exists(store));
+    }
+}
+
+TEST(DriverCliOptions, ReadOptionRuns)
+{
+    const DriverRun run = runDriver(
+        {"--experiment", "table2", "records=1024", "--no-timing"});
+    EXPECT_EQ(run.status, 0) << run.err;
+    EXPECT_EQ(run.err.find("unknown option"), std::string::npos);
+    EXPECT_FALSE(run.out.empty());
+}
+
+TEST(DriverCliOptions, KeyReadOnlyBySecondExperimentRuns)
+{
+    // table2 ignores workload=; ingest_replay, selected second, reads
+    // it, so the key is in use.
+    const DriverRun alone =
+        runDriver({"--experiment", "table2", "workload=oltp-db2",
+                   "records=1024"});
+    EXPECT_EQ(alone.status, 1);
+    EXPECT_NE(alone.err.find("unknown option 'workload'"),
+              std::string::npos)
+        << alone.err;
+
+    const DriverRun both = runDriver(
+        {"--experiment", "table2", "--experiment", "ingest_replay",
+         "workload=oltp-db2", "records=1024", "--no-timing"});
+    EXPECT_EQ(both.status, 0) << both.err;
+    EXPECT_EQ(both.err.find("unknown option"), std::string::npos);
 }
 
 } // namespace
