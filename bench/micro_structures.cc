@@ -30,37 +30,50 @@ using namespace stms;
 namespace
 {
 
+/**
+ * Index-table probes. Arg(0) is the table's byte budget: 16 MiB is
+ * the paper's bucketized off-chip table, 0 the unbounded idealized
+ * map of the ideal-TMS runs. Arg(1) is the log2 of the block range
+ * keys are drawn from; the unbounded map keeps every key it sees, so
+ * its range is smaller (at most 1M pairs, ~32 MiB of host memory).
+ */
 void
 BM_IndexTableUpdate(benchmark::State &state)
 {
-    IndexTable table(16ULL << 20);
+    IndexTable table(static_cast<std::uint64_t>(state.range(0)));
+    const std::uint64_t keys = 1ULL << state.range(1);
     Rng rng(1);
     std::uint64_t seq = 0;
     for (auto _ : state) {
-        const Addr block = blockAddress(rng.below(1ULL << 24));
+        const Addr block = blockAddress(rng.below(keys));
         table.update(block, HistoryPointer{0, seq++});
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexTableUpdate);
+BENCHMARK(BM_IndexTableUpdate)
+    ->Args({16 << 20, 24})
+    ->Args({0, 20})
+    ->ArgNames({"bytes", "key_bits"});
 
 void
 BM_IndexTableLookup(benchmark::State &state)
 {
-    IndexTable table(16ULL << 20);
+    IndexTable table(static_cast<std::uint64_t>(state.range(0)));
+    const std::uint64_t keys = 1ULL << state.range(1);
     Rng rng(2);
-    for (std::uint64_t i = 0; i < 1'000'000; ++i) {
-        table.update(blockAddress(rng.below(1ULL << 24)),
-                     HistoryPointer{0, i});
-    }
+    for (std::uint64_t i = 0; i < 1'000'000; ++i)
+        table.update(blockAddress(rng.below(keys)), HistoryPointer{0, i});
     Rng probe(3);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            table.lookup(blockAddress(probe.below(1ULL << 24))));
+            table.lookup(blockAddress(probe.below(keys))));
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexTableLookup);
+BENCHMARK(BM_IndexTableLookup)
+    ->Args({16 << 20, 24})
+    ->Args({0, 20})
+    ->ArgNames({"bytes", "key_bits"});
 
 void
 BM_HistoryBufferAppend(benchmark::State &state)
@@ -88,13 +101,23 @@ BM_PrefetchBuffer(benchmark::State &state)
 }
 BENCHMARK(BM_PrefetchBuffer);
 
+/**
+ * The L2 as a demand miss sees it: each probe picks a uniformly random
+ * set of the whole 8 MiB, 16-way cache, so every set's tags and order
+ * word are in play (host state far beyond one core's L1d), and one of
+ * 2 x ways tags for that set, so about half the probes miss and fill
+ * over an LRU victim.
+ */
 void
 BM_CacheAccess(benchmark::State &state)
 {
     Cache cache(CacheConfig{"bench-l2", 8 * 1024 * 1024, 16});
+    const std::uint64_t sets = cache.numSets();
+    const std::uint64_t tags = 2 * cache.numWays();
     Rng rng(6);
     for (auto _ : state) {
-        const Addr block = blockAddress(rng.below(1ULL << 18));
+        const Addr block =
+            blockAddress(rng.below(tags) * sets + rng.below(sets));
         if (!cache.access(block, false))
             cache.fill(block);
     }
@@ -168,38 +191,48 @@ BM_EventQueue(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueue);
 
+/** Self-rescheduling event load: each firing schedules its
+ *  successor with a varying delay, so heap order gets exercised. The
+ *  successor captures one pointer, which fits the callback's inline
+ *  buffer: no scheduled event allocates. */
+struct SteadyLoad
+{
+    EventQueue queue;
+    std::uint64_t executed = 0;
+    Cycle delay = 1;
+
+    void
+    fire()
+    {
+        ++executed;
+        delay = delay % 41 + 1;
+        queue.schedule(delay, [this]() { fire(); });
+    }
+};
+
 /**
  * Steady-state event throughput: a fixed population of self-
  * rescheduling events, the pattern a running simulation puts on the
  * queue (cores and the memory controller keep a bounded number of
  * events in flight and every pop schedules a successor). This is the
- * bench that shows heap regrowth and per-event allocation churn —
- * the reserved vector heap holds capacity across the whole run.
+ * bench that shows heap regrowth and slab reuse, without allocator
+ * time mixed in.
  */
 void
 BM_EventQueueSteadyState(benchmark::State &state)
 {
     const std::int64_t population = state.range(0);
-    EventQueue queue;
-    std::uint64_t executed = 0;
-    // Self-rescheduling closure: each firing schedules the next, with
-    // a varying delay so heap order actually gets exercised.
-    std::function<void()> tick;
-    Cycle delay = 1;
-    tick = [&]() {
-        ++executed;
-        delay = delay % 41 + 1;
-        queue.schedule(delay, tick);
-    };
+    SteadyLoad load;
     for (std::int64_t i = 0; i < population; ++i)
-        queue.schedule(static_cast<Cycle>(i % 13), tick);
+        load.queue.schedule(static_cast<Cycle>(i % 13),
+                            [&load]() { load.fire(); });
 
     static constexpr std::uint64_t kBatch = 1024;
     for (auto _ : state) {
-        const std::uint64_t target = executed + kBatch;
-        while (executed < target)
-            queue.runUntil(queue.now() + 8);
-        benchmark::DoNotOptimize(executed);
+        const std::uint64_t target = load.executed + kBatch;
+        while (load.executed < target)
+            load.queue.runUntil(load.queue.now() + 8);
+        benchmark::DoNotOptimize(load.executed);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * kBatch));

@@ -33,6 +33,8 @@ main(int argc, char **argv)
         return 1;
     }
     const auto records = options.getUint("records", 256 * 1024);
+    if (options.reportUnread("bandwidth_tuning does not read it"))
+        return 1;
     const Trace &trace = driver::globalTraceCache().get(name, records);
 
     RunOutput base = runTrace(trace, RunConfig{});

@@ -37,6 +37,8 @@ main(int argc, char **argv)
     practical.stms->historyEntriesPerCore =
         options.getUint("history", 1ULL << 20);
     practical.stms->indexBytes = options.getUint("index", 16ULL << 20);
+    if (options.reportUnread("oltp_server does not read it"))
+        return 1;
 
     for (const char *name : {"oltp-db2", "oltp-oracle"}) {
         const Trace &trace =

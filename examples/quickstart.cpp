@@ -34,6 +34,10 @@ main(int argc, char **argv)
     }
 
     const auto records = options.getUint("records", 128 * 1024);
+    const double sampling = options.getDouble("sampling", 0.125);
+    const bool ideal = options.getBool("ideal", false);
+    if (options.reportUnread("quickstart does not read it"))
+        return 1;
     const Trace &trace =
         driver::globalTraceCache().get(workload, records);
     std::printf("workload %s: %llu records, %llu distinct blocks\n",
@@ -47,9 +51,8 @@ main(int argc, char **argv)
     // STMS on top of the base system.
     RunConfig config;
     config.stms.emplace();
-    config.stms->samplingProbability =
-        options.getDouble("sampling", 0.125);
-    if (options.getBool("ideal", false))
+    config.stms->samplingProbability = sampling;
+    if (ideal)
         config.stms = makeIdealTmsConfig();
     RunOutput with_stms = runTrace(trace, config);
 

@@ -31,6 +31,8 @@ main(int argc, char **argv)
         return 1;
     }
     const auto records = options.getUint("records", 256 * 1024);
+    if (options.reportUnread("scientific_iteration does not read it"))
+        return 1;
     const WorkloadSpec spec = makeWorkload(name, records);
     const Trace &trace = driver::globalTraceCache().get(name, records);
 

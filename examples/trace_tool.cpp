@@ -57,13 +57,15 @@ generate(const Options &options)
     const std::string out = options.get(
         "out",
         workload + (format == "champsim" ? ".champsim" : ".stms"));
+    const auto records = options.getUint("records", 64 * 1024);
+    if (options.reportUnread("mode=gen does not read it"))
+        return 1;
     if (!isKnownWorkload(workload)) {
         std::fprintf(stderr, "unknown workload '%s'\n",
                      workload.c_str());
         return 1;
     }
-    WorkloadGenerator generator(makeWorkload(
-        workload, options.getUint("records", 64 * 1024)));
+    WorkloadGenerator generator(makeWorkload(workload, records));
     const Trace trace = generator.generate();
 
     std::vector<std::string> written;
@@ -100,6 +102,8 @@ info(const Options &options)
         std::fprintf(stderr, "%s\n", error.c_str());
         return 1;
     }
+    if (options.reportUnread("mode=info does not read it"))
+        return 1;
     std::printf("trace '%s': %u cores", source->name().c_str(),
                 source->numCores());
     if (source->totalRecords() > 0) {
@@ -152,6 +156,8 @@ replay(const Options &options)
     config.stms.emplace();
     if (options.getBool("ideal", false))
         config.stms = makeIdealTmsConfig();
+    if (options.reportUnread("mode=run does not read it"))
+        return 1;
     RunOutput out = runTrace(*source, config);
     std::printf("replayed %s: ipc %.3f, STMS coverage %.1f%%, "
                 "overhead %.2f bytes/useful byte\n",

@@ -136,6 +136,15 @@ Options::unreadKeys() const
     return result;
 }
 
+bool
+Options::reportUnread(const std::string &why) const
+{
+    const std::vector<std::string> unread = unreadKeys();
+    for (const std::string &key : unread)
+        logRaw("unknown option '" + key + "' (" + why + ")\n");
+    return !unread.empty();
+}
+
 std::uint64_t
 parseSize(const std::string &text)
 {

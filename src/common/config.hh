@@ -58,6 +58,10 @@ class Options
      *  rejects these after planning: nothing would read them. */
     std::vector<std::string> unreadKeys() const;
 
+    /** Print "unknown option 'KEY' (@p why)" to stderr for each of
+     *  unreadKeys(); returns true if there was any. */
+    bool reportUnread(const std::string &why) const;
+
     /** Forget which keys were read (a copy inherits its source's). */
     void forgetReads() { read_.clear(); }
 

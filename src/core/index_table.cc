@@ -12,6 +12,10 @@ IndexTable::IndexTable(std::uint64_t total_bytes,
     stms_assert(entries_per_bucket > 0, "bucket needs entries");
     if (total_bytes == 0) {
         buckets_ = 0;
+        for (Segment &segment : segments_) {
+            segment.bits = kFirstSlotBits;
+            segment.slots.resize(std::size_t{1} << kFirstSlotBits);
+        }
         return;
     }
     buckets_ = total_bytes / kBlockBytes;
@@ -28,11 +32,12 @@ IndexTable::lookup(Addr block)
     // the block number; the tag must match it).
     const Addr key = blockNumber(block);
     if (unbounded()) {
-        auto it = map_.find(key);
-        if (it == map_.end())
+        const std::uint64_t hash = slotHash(key);
+        const Slot *slot = probe(segmentOf(hash), hash, key);
+        if (slot->key == kInvalidAddr)
             return std::nullopt;
         ++stats_.lookupHits;
-        return HistoryPointer::unpack(it->second);
+        return HistoryPointer::unpack(slot->value);
     }
 
     const auto pointer = store_.lookup(bucketOf(block), key);
@@ -48,11 +53,21 @@ IndexTable::update(Addr block, HistoryPointer pointer)
     ++stats_.updates;
     const Addr key = blockNumber(block);
     if (unbounded()) {
-        auto [it, inserted] =
-            map_.insert_or_assign(key, pointer.packed());
-        (void)it;
-        if (inserted)
+        const std::uint64_t hash = slotHash(key);
+        Segment &segment = segmentOf(hash);
+        Slot *slot = probe(segment, hash, key);
+        if (slot->key == kInvalidAddr) {
+            // Keep load <= 7/8 so every probe run ends at an empty slot.
+            if (8 * (segment.used + 1) > 7 * segment.slots.size()) {
+                grow(segment);
+                slot = probe(segment, hash, key);
+            }
+            slot->key = key;
+            ++segment.used;
             ++stats_.inserts;
+            ++pairs_;
+        }
+        slot->value = pointer.packed();
         return;
     }
 
@@ -69,11 +84,37 @@ IndexTable::update(Addr block, HistoryPointer pointer)
     }
 }
 
+IndexTable::Slot *
+IndexTable::probe(Segment &segment, std::uint64_t hash, Addr key)
+{
+    // Slot index from the hash bits below the segment selector.
+    const std::uint64_t mask = segment.slots.size() - 1;
+    std::uint64_t index = (hash << kSegmentBits) >> (64 - segment.bits);
+    for (;;) {
+        Slot &slot = segment.slots[index];
+        if (slot.key == key || slot.key == kInvalidAddr)
+            return &slot;
+        index = (index + 1) & mask;
+    }
+}
+
+void
+IndexTable::grow(Segment &segment)
+{
+    const std::vector<Slot> old = std::move(segment.slots);
+    segment.slots.assign(std::size_t{2} << segment.bits, Slot{});
+    ++segment.bits;
+    for (const Slot &slot : old) {
+        if (slot.key != kInvalidAddr)
+            *probe(segment, slotHash(slot.key), slot.key) = slot;
+    }
+}
+
 void
 IndexTable::prefetchBatch(std::span<const Addr> blocks) const
 {
     if (unbounded())
-        return;  // Nothing to warm: the map's layout is opaque.
+        return;  // Only the bounded buckets are warmed.
     for (const Addr block : blocks)
         store_.prefetchBucket(bucketOf(block));
 }
@@ -83,7 +124,7 @@ IndexTable::footprintBytes() const
 {
     if (unbounded()) {
         // 5.33 bytes/pair at the paper's packing density.
-        return divCeil(map_.size(), entriesPerBucket_) * kBlockBytes;
+        return divCeil(pairs_, entriesPerBucket_) * kBlockBytes;
     }
     return buckets_ * kBlockBytes;
 }
@@ -91,9 +132,13 @@ IndexTable::footprintBytes() const
 std::uint64_t
 IndexTable::occupancyScan() const
 {
-    if (unbounded())
-        return map_.size();
-    return store_.occupancyScan();
+    if (!unbounded())
+        return store_.occupancyScan();
+    std::uint64_t count = 0;
+    for (const Segment &segment : segments_)
+        for (const Slot &slot : segment.slots)
+            count += slot.key != kInvalidAddr ? 1 : 0;
+    return count;
 }
 
 } // namespace stms

@@ -10,9 +10,13 @@
  * The LRU policy inside each bucket naturally ages out useless entries
  * (Sec. 5.3).
  *
- * An unbounded mode (hash map) models the idealized prefetcher's
- * magic on-chip meta-data, and a bounded-entry mode supports the
- * coverage-vs-entries sweep of Fig. 1 (left).
+ * An unbounded mode models the idealized prefetcher's magic on-chip
+ * meta-data, and a bounded-entry mode supports the coverage-vs-entries
+ * sweep of Fig. 1 (left). The unbounded map is open addressing:
+ * 16-byte {key, value} slots probed linearly, split into 64 segments
+ * by the top bits of a multiplicative hash. Each segment doubles on
+ * its own at 7/8 load, so a grow copies 1/64 of the table, never all
+ * of it (docs/PERF.md, "The tag store and the idealized index").
  *
  * Both modes key entries by *block number* (the address without its
  * in-block offset bits): two byte addresses inside the same cache
@@ -23,10 +27,10 @@
 #ifndef STMS_CORE_INDEX_TABLE_HH
 #define STMS_CORE_INDEX_TABLE_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hh"
@@ -129,10 +133,7 @@ class IndexTable
 
     /** Total pairs currently stored. O(1): maintained live on
      *  insert/replace (benches poll this per interval). */
-    std::uint64_t occupancy() const
-    {
-        return unbounded() ? map_.size() : pairs_;
-    }
+    std::uint64_t occupancy() const { return pairs_; }
 
     /** The O(buckets x entries) recount of occupancy(); kept as a
      *  debug cross-check of the live counter. */
@@ -142,13 +143,52 @@ class IndexTable
     void resetStats() { stats_ = IndexTableStats{}; }
 
   private:
+    /** One {block number, packed pointer} pair of the unbounded map;
+     *  key kInvalidAddr marks an empty slot (block numbers never
+     *  reach it). */
+    struct Slot
+    {
+        Addr key = kInvalidAddr;
+        std::uint64_t value = 0;
+    };
+
+    /** A linear-probing table of 2^bits slots. */
+    struct Segment
+    {
+        std::vector<Slot> slots;
+        std::uint64_t used = 0;
+        unsigned bits = 0;
+    };
+
+    static constexpr unsigned kSegmentBits = 6;
+    static constexpr unsigned kFirstSlotBits = 4;
+
+    static std::uint64_t
+    slotHash(Addr key)
+    {
+        return key * 0x9e3779b97f4a7c15ULL;  // 2^64 / golden ratio
+    }
+
+    /** The slot holding @p key, else the empty slot ending its probe
+     *  run. */
+    static Slot *probe(Segment &segment, std::uint64_t hash, Addr key);
+
+    Segment &
+    segmentOf(std::uint64_t hash)
+    {
+        return segments_[hash >> (64 - kSegmentBits)];
+    }
+
+    /** Double @p segment's slot count and reinsert its pairs. */
+    static void grow(Segment &segment);
+
     std::uint32_t entriesPerBucket_;
     std::uint64_t buckets_;
     /** Bounded storage (SoA buckets; see core/index_bucket.hh). */
     detail::BucketStore store_;
     /** Unbounded (idealized) storage, keyed by block number. */
-    std::unordered_map<Addr, std::uint64_t> map_;
-    /** Live pair count of the bounded store (the O(1) occupancy). */
+    std::array<Segment, std::size_t{1} << kSegmentBits> segments_;
+    /** Live pair count (the O(1) occupancy). */
     std::uint64_t pairs_ = 0;
     IndexTableStats stats_;
 };

@@ -432,12 +432,7 @@ runExperiments(const DriverArgs &args)
     for (const Experiment *experiment : selected)
         plans.push_back(
             planRuns(*experiment, options, args.sampleEvery));
-    const std::vector<std::string> unread = options.unreadKeys();
-    for (const std::string &key : unread) {
-        logRaw("unknown option '" + key +
-               "' (no selected experiment reads it)\n");
-    }
-    if (!unread.empty())
+    if (options.reportUnread("no selected experiment reads it"))
         return 1;
 
     std::unique_ptr<results::ResultStore> store;

@@ -10,6 +10,9 @@ Cache::Cache(const CacheConfig &config)
 {
     stms_assert(ways_ > 0, "%s: cache needs at least one way",
                 name_.c_str());
+    stms_assert(ways_ <= kMaxWays,
+                "%s: %u ways exceed the %u an LRU order word ranks",
+                name_.c_str(), ways_, kMaxWays);
     stms_assert(config.sizeBytes % (kBlockBytes * config.ways) == 0,
                 "%s: size %llu not divisible by ways*blockSize",
                 name_.c_str(),
@@ -17,19 +20,11 @@ Cache::Cache(const CacheConfig &config)
     sets_ = config.sizeBytes / (kBlockBytes * config.ways);
     stms_assert(isPowerOfTwo(sets_), "%s: set count %llu not a power of 2",
                 name_.c_str(), static_cast<unsigned long long>(sets_));
-    lines_.resize(sets_ * ways_);
-    age_.assign(sets_ * ways_, 0);
-}
-
-std::uint32_t
-Cache::lruWay(std::uint64_t set) const
-{
-    const std::uint64_t *age = &age_[set * ways_];
-    std::uint32_t victim_way = 0;
-    for (std::uint32_t w = 1; w < ways_; ++w)
-        if (age[w] < age[victim_way])
-            victim_way = w;
-    return victim_way;
+    tags_.assign(sets_ * ways_, kInvalidAddr);
+    SetState initial;
+    for (std::uint32_t w = 0; w < ways_; ++w)
+        initial.order |= std::uint64_t{w} << (4 * w);
+    state_.assign(sets_, initial);
 }
 
 Eviction
@@ -38,37 +33,38 @@ Cache::fill(Addr block_addr, bool dirty)
     block_addr = blockAlign(block_addr);
     Eviction evicted;
     const std::uint64_t set = setIndex(block_addr);
-    Line *base = &lines_[set * ways_];
+    Addr *tags = &tags_[set * ways_];
+    SetState &state = state_[set];
+    const std::uint32_t dirty_bit = std::uint32_t{dirty};
 
-    // Refill of a block that is already present just updates state.
-    std::uint32_t way = 0;
-    if (Line *line = findLine(block_addr, &way)) {
-        line->dirty |= dirty;
-        touch(set, way);
-        return evicted;
-    }
-
-    // Prefer an invalid way.
-    std::uint32_t victim_way = ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim_way = w;
-            break;
+    // One pass: a refill of a present block just updates its state;
+    // otherwise remember the lowest invalid way.
+    std::uint32_t way = ways_;
+    for (std::uint32_t w = ways_; w-- > 0;) {
+        if (tags[w] == block_addr) {
+            state.dirty |= dirty_bit << w;
+            state.order = promote(state.order, w);
+            return evicted;
         }
+        if (tags[w] == kInvalidAddr)
+            way = w;
     }
-    if (victim_way == ways_) {
-        victim_way = lruWay(set);
-        Line &victim = base[victim_way];
+
+    if (way == ways_) {
+        // Full set: the LRU way trails the order word.
+        way = static_cast<std::uint32_t>(
+            (state.order >> (4 * (ways_ - 1))) & 0xF);
         evicted.valid = true;
-        evicted.dirty = victim.dirty;
-        evicted.blockAddr = victim.tag;
+        evicted.dirty = (state.dirty >> way) & 1;
+        evicted.blockAddr = tags[way];
         ++stats_.evictions;
-        if (victim.dirty)
+        if (evicted.dirty)
             ++stats_.dirtyEvictions;
     }
 
-    base[victim_way] = Line{block_addr, true, dirty};
-    touch(set, victim_way);
+    tags[way] = block_addr;
+    state.dirty = (state.dirty & ~(1U << way)) | (dirty_bit << way);
+    state.order = promote(state.order, way);
     ++stats_.fills;
     return evicted;
 }
@@ -76,29 +72,33 @@ Cache::fill(Addr block_addr, bool dirty)
 bool
 Cache::invalidate(Addr block_addr)
 {
-    if (Line *line = findLine(blockAlign(block_addr))) {
-        line->valid = false;
-        line->dirty = false;
-        line->tag = kInvalidAddr;
-        ++stats_.invalidations;
-        return true;
-    }
-    return false;
+    block_addr = blockAlign(block_addr);
+    const std::uint64_t set = setIndex(block_addr);
+    const std::uint32_t way = findWay(set, block_addr);
+    if (way == ways_)
+        return false;
+    tags_[set * ways_ + way] = kInvalidAddr;
+    state_[set].dirty &= ~(1U << way);
+    ++stats_.invalidations;
+    return true;
 }
 
 void
 Cache::markDirty(Addr block_addr)
 {
-    if (Line *line = findLine(blockAlign(block_addr)))
-        line->dirty = true;
+    block_addr = blockAlign(block_addr);
+    const std::uint64_t set = setIndex(block_addr);
+    const std::uint32_t way = findWay(set, block_addr);
+    if (way != ways_)
+        state_[set].dirty |= 1U << way;
 }
 
 std::uint64_t
 Cache::occupancy() const
 {
     std::uint64_t count = 0;
-    for (const Line &line : lines_)
-        count += line.valid ? 1 : 0;
+    for (const Addr tag : tags_)
+        count += tag != kInvalidAddr ? 1 : 0;
     return count;
 }
 

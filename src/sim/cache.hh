@@ -11,6 +11,7 @@
 #ifndef STMS_SIM_CACHE_HH
 #define STMS_SIM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,10 +56,22 @@ struct CacheStats
     }
 };
 
-/** Set-associative, write-back, write-allocate cache tag array. */
+/**
+ * Set-associative, write-back, write-allocate cache tag array.
+ *
+ * Storage is one Addr tag per way (kInvalidAddr = empty way; a
+ * block-aligned address never equals it) plus one 16-byte SetState per
+ * set holding the dirty bitmask and an exact LRU order word: one
+ * nibble per way, MRU in the low nibble, so a full set's LRU victim is
+ * nibble ways-1. A touch moves the way's nibble to the front. Victims
+ * are the lowest invalid way, else the least recently touched way.
+ */
 class Cache
 {
   public:
+    /** Ways one order word can rank (one nibble each). */
+    static constexpr std::uint32_t kMaxWays = 16;
+
     explicit Cache(const CacheConfig &config);
 
     /**
@@ -71,12 +84,15 @@ class Cache
     access(Addr block_addr, bool is_write)
     {
         block_addr = blockAlign(block_addr);
-        std::uint32_t way = 0;
-        Line *line = findLine(block_addr, &way);
-        if (line) {
+        const std::uint64_t set = setIndex(block_addr);
+        const std::uint32_t way = findWay(set, block_addr);
+        if (way != ways_) {
             ++stats_.hits;
-            line->dirty |= is_write;
-            touch(setIndex(block_addr), way);
+            SetState &state = state_[set];
+            state.dirty |= std::uint32_t{is_write} << way;
+            // Repeat hits to the MRU way (most L1 hits) keep the order.
+            if ((state.order & 0xF) != way)
+                state.order = promote(state.order, way);
             return true;
         }
         ++stats_.misses;
@@ -87,7 +103,8 @@ class Cache
     bool
     contains(Addr block_addr) const
     {
-        return findLine(blockAlign(block_addr)) != nullptr;
+        block_addr = blockAlign(block_addr);
+        return findWay(setIndex(block_addr), block_addr) != ways_;
     }
 
     /**
@@ -114,12 +131,35 @@ class Cache
     std::uint64_t occupancy() const;
 
   private:
-    struct Line
+    /** Per-set replacement and dirty state. */
+    struct SetState
     {
-        Addr tag = kInvalidAddr;
-        bool valid = false;
-        bool dirty = false;
+        /** Way numbers, one nibble each, most recently touched in
+         *  bits 3:0. Ways never touched trail in way order. */
+        std::uint64_t order = 0;
+        /** Bit w set = way w holds a dirty block. */
+        std::uint32_t dirty = 0;
     };
+    static_assert(sizeof(SetState) == 16);
+
+    static constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ULL;
+    static constexpr std::uint64_t kNibbleHighs = 0x8888888888888888ULL;
+
+    /** @p order with @p way's nibble moved to the front (MRU). */
+    static std::uint64_t
+    promote(std::uint64_t order, std::uint32_t way)
+    {
+        // Lowest nibble equal to way: the lowest zero nibble of the
+        // xor is found exactly (borrows only run upward from it).
+        const std::uint64_t diff = order ^ (kNibbleOnes * way);
+        const std::uint64_t zeros = (diff - kNibbleOnes) & ~diff &
+                                    kNibbleHighs;
+        const unsigned shift =
+            static_cast<unsigned>(std::countr_zero(zeros)) & ~3U;
+        const std::uint64_t below = order & ((1ULL << shift) - 1);
+        const std::uint64_t above = order & ((~0ULL << shift) << 4);
+        return above | (below << 4) | way;
+    }
 
     std::uint64_t
     setIndex(Addr block_addr) const
@@ -127,50 +167,23 @@ class Cache
         return blockNumber(block_addr) & (sets_ - 1);
     }
 
-    /** Make @p way the most recently used way of @p set. */
-    void
-    touch(std::uint64_t set, std::uint32_t way)
+    /** Way of @p set holding @p block_addr, or ways_ on a miss. */
+    std::uint32_t
+    findWay(std::uint64_t set, Addr block_addr) const
     {
-        age_[set * ways_ + way] = ++clock_;
-    }
-
-    /** LRU way of a full @p set: the one with the oldest touch. */
-    std::uint32_t lruWay(std::uint64_t set) const;
-
-    Line *
-    findLine(Addr block_addr, std::uint32_t *way_out = nullptr)
-    {
-        const std::uint64_t set = setIndex(block_addr);
-        Line *base = &lines_[set * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (base[w].valid && base[w].tag == block_addr) {
-                if (way_out)
-                    *way_out = w;
-                return &base[w];
-            }
-        }
-        return nullptr;
-    }
-
-    const Line *
-    findLine(Addr block_addr) const
-    {
-        const std::uint64_t set = setIndex(block_addr);
-        const Line *base = &lines_[set * ways_];
+        const Addr *tags = &tags_[set * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w)
-            if (base[w].valid && base[w].tag == block_addr)
-                return &base[w];
-        return nullptr;
+            if (tags[w] == block_addr)
+                return w;
+        return ways_;
     }
 
     std::string name_;
     std::uint64_t sets_;
     std::uint32_t ways_;
-    std::vector<Line> lines_;
-    /** Last-touch stamp per line (same layout as lines_); the LRU
-     *  victim of a set is its way with the smallest stamp. */
-    std::vector<std::uint64_t> age_;
-    std::uint64_t clock_ = 0;
+    /** sets_ x ways_ tags, set-major; kInvalidAddr marks an empty way. */
+    std::vector<Addr> tags_;
+    std::vector<SetState> state_;
     CacheStats stats_;
 };
 

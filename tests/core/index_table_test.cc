@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/index_table.hh"
 
 namespace stms
@@ -279,6 +281,75 @@ TEST(IndexTable, FullLoadKeepsHitRateForHotSet)
     for (Addr addr : hot)
         hits += table.lookup(addr).has_value() ? 1 : 0;
     EXPECT_GT(hits, 48);  // >75% of the hot set survives.
+}
+
+TEST(IndexTable, UnboundedMatchesHashMapReference)
+{
+    // ~440k distinct keys over 64 segments: every segment grows from
+    // 16 slots to 8k or more, nine doublings or more each.
+    IndexTable table(0, 12);
+    std::unordered_map<Addr, std::uint64_t> reference;
+    IndexTableStats expected;
+    Rng rng(0x1dea1);
+    constexpr std::uint64_t kKeySpace = 1ULL << 20;
+    constexpr std::uint32_t kOps = 1'200'000;
+    for (std::uint32_t op = 0; op < kOps; ++op) {
+        // Mostly uniform blocks, plus a power-of-two stride family and
+        // byte offsets inside a block (same key as the block itself).
+        Addr addr = rng.chance(0.8)
+                        ? blockAddress(rng.below(kKeySpace))
+                        : blockAddress(rng.below(4096) << 12);
+        addr += rng.below(kBlockBytes);
+        const Addr key = blockNumber(addr);
+        if (rng.chance(0.6)) {
+            const HistoryPointer pointer{
+                static_cast<CoreId>(rng.below(16)), op};
+            table.update(addr, pointer);
+            ++expected.updates;
+            expected.inserts +=
+                reference.insert_or_assign(key, pointer.packed()).second
+                    ? 1
+                    : 0;
+        } else {
+            const auto got = table.lookup(addr);
+            const auto it = reference.find(key);
+            ++expected.lookups;
+            ASSERT_EQ(got.has_value(), it != reference.end())
+                << "op " << op;
+            if (got) {
+                ++expected.lookupHits;
+                ASSERT_EQ(got->packed(), it->second) << "op " << op;
+            }
+        }
+        if (op % (1 << 17) == 0) {
+            ASSERT_EQ(table.occupancy(), reference.size());
+        }
+    }
+    EXPECT_GT(reference.size(), 400'000u);
+    EXPECT_TRUE(table.stats() == expected);
+    EXPECT_EQ(table.occupancy(), reference.size());
+    EXPECT_EQ(table.occupancyScan(), reference.size());
+    EXPECT_EQ(table.footprintBytes(),
+              divCeil(reference.size(), 12) * kBlockBytes);
+    // Every stored pair is still found after all the growth.
+    for (const auto &[key, value] : reference) {
+        const auto got = table.lookup(blockAddress(key));
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(got->packed(), value);
+    }
+}
+
+TEST(IndexTable, UnboundedKeepsExtremeBlockNumbers)
+{
+    // Block 0 and the highest block number are ordinary keys; neither
+    // collides with the empty-slot marker.
+    IndexTable table(0);
+    const Addr top = blockAlign(kInvalidAddr);
+    table.update(0, HistoryPointer{1, 10});
+    table.update(top, HistoryPointer{2, 20});
+    EXPECT_EQ(table.lookup(0)->seq, 10u);
+    EXPECT_EQ(table.lookup(top)->seq, 20u);
+    EXPECT_EQ(table.occupancyScan(), 2u);
 }
 
 } // namespace

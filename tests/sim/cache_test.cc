@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hh"
 #include "sim/cache.hh"
 
 namespace stms
@@ -202,6 +205,197 @@ TEST(Lru, InvalidWayFilledBeforeEviction)
     EXPECT_TRUE(cache.contains(0));
     // With the set full again, LRU block 0 is the next victim.
     EXPECT_EQ(cache.fill(5 * stride).blockAddr, 0u);
+}
+
+/**
+ * Reference model: the min-stamp LRU tag array the order-word layout
+ * replaced. Each line carries valid/dirty flags and a last-touch stamp
+ * from one per-cache clock; a fill takes the lowest invalid way, else
+ * the way with the smallest stamp.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &config)
+        : ways_(config.ways),
+          sets_(config.sizeBytes / (kBlockBytes * config.ways)),
+          lines_(sets_ * ways_)
+    {}
+
+    bool
+    access(Addr addr, bool is_write)
+    {
+        Line *line = find(blockAlign(addr));
+        if (!line) {
+            ++stats.misses;
+            return false;
+        }
+        ++stats.hits;
+        line->dirty |= is_write;
+        line->stamp = ++clock_;
+        return true;
+    }
+
+    Eviction
+    fill(Addr addr, bool dirty)
+    {
+        addr = blockAlign(addr);
+        Eviction evicted;
+        if (Line *line = find(addr)) {
+            line->dirty |= dirty;
+            line->stamp = ++clock_;
+            return evicted;
+        }
+        Line *base = set(addr);
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < ways_ && !victim; ++w)
+            if (!base[w].valid)
+                victim = &base[w];
+        if (!victim) {
+            victim = &base[0];
+            for (std::uint32_t w = 1; w < ways_; ++w)
+                if (base[w].stamp < victim->stamp)
+                    victim = &base[w];
+            evicted = Eviction{true, victim->dirty, victim->tag};
+            ++stats.evictions;
+            stats.dirtyEvictions += victim->dirty ? 1 : 0;
+        }
+        *victim = Line{addr, true, dirty, ++clock_};
+        ++stats.fills;
+        return evicted;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        Line *line = find(blockAlign(addr));
+        if (!line)
+            return false;
+        line->valid = false;
+        line->dirty = false;
+        ++stats.invalidations;
+        return true;
+    }
+
+    void
+    markDirty(Addr addr)
+    {
+        if (Line *line = find(blockAlign(addr)))
+            line->dirty = true;
+    }
+
+    bool contains(Addr addr) { return find(blockAlign(addr)) != nullptr; }
+
+    std::uint64_t
+    occupancy() const
+    {
+        std::uint64_t count = 0;
+        for (const Line &line : lines_)
+            count += line.valid ? 1 : 0;
+        return count;
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *
+    set(Addr block_addr)
+    {
+        return &lines_[(blockNumber(block_addr) & (sets_ - 1)) * ways_];
+    }
+
+    Line *
+    find(Addr block_addr)
+    {
+        Line *base = set(block_addr);
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].tag == block_addr)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::uint32_t ways_;
+    std::uint64_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want)
+{
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.fills, want.fills);
+    EXPECT_EQ(got.evictions, want.evictions);
+    EXPECT_EQ(got.dirtyEvictions, want.dirtyEvictions);
+    EXPECT_EQ(got.invalidations, want.invalidations);
+}
+
+class CacheDifferential : public ::testing::TestWithParam<std::uint32_t>
+{};
+
+TEST_P(CacheDifferential, MatchesMinStampLruReference)
+{
+    const std::uint32_t ways = GetParam();
+    // 16 sets at every way count, so sets fill and churn quickly.
+    const CacheConfig config{"diff", 16 * ways * kBlockBytes, ways};
+    Cache cache(config);
+    ReferenceCache reference(config);
+    Rng rng(0x5eed + ways);
+    // Three blocks per way per set: hits, refills and evictions mix.
+    const std::uint64_t blocks = 16 * ways * 3;
+    for (int op = 0; op < 200'000; ++op) {
+        const Addr addr =
+            blockAddress(rng.below(blocks)) + rng.below(kBlockBytes);
+        const std::uint64_t kind = rng.below(16);
+        if (kind < 7) {
+            const bool write = rng.chance(0.3);
+            ASSERT_EQ(cache.access(addr, write),
+                      reference.access(addr, write))
+                << "op " << op;
+        } else if (kind < 13) {
+            const bool dirty = rng.chance(0.3);
+            const Eviction got = cache.fill(addr, dirty);
+            const Eviction want = reference.fill(addr, dirty);
+            ASSERT_EQ(got.valid, want.valid) << "op " << op;
+            ASSERT_EQ(got.dirty, want.dirty) << "op " << op;
+            ASSERT_EQ(got.blockAddr, want.blockAddr) << "op " << op;
+        } else if (kind < 14) {
+            ASSERT_EQ(cache.invalidate(addr), reference.invalidate(addr))
+                << "op " << op;
+        } else if (kind < 15) {
+            cache.markDirty(addr);
+            reference.markDirty(addr);
+        } else {
+            ASSERT_EQ(cache.contains(addr), reference.contains(addr))
+                << "op " << op;
+        }
+        if (op % 4096 == 0) {
+            ASSERT_EQ(cache.occupancy(), reference.occupancy());
+        }
+    }
+    EXPECT_EQ(cache.occupancy(), reference.occupancy());
+    expectSameStats(cache.stats(), reference.stats);
+    EXPECT_GT(cache.stats().evictions, 0u);
+    EXPECT_GT(cache.stats().dirtyEvictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
+                         ::testing::Values(1u, 2u, 16u));
+
+TEST(CacheDeathTest, MoreWaysThanTheOrderWordRanksPanics)
+{
+    EXPECT_DEATH(
+        { Cache wide(CacheConfig{"wide", 32 * 64 * kBlockBytes, 32}); },
+        "exceed");
 }
 
 } // namespace
