@@ -56,16 +56,6 @@ Options::get(const std::string &key, const std::string &fallback) const
     return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t
-Options::getInt(const std::string &key, std::int64_t fallback) const
-{
-    markRead(key);
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
-}
-
 std::uint64_t
 Options::getUint(const std::string &key, std::uint64_t fallback) const
 {
@@ -163,7 +153,33 @@ parseSize(const std::string &text)
             stms_fatal("bad size suffix in '%s'", text.c_str());
         }
     }
-    return static_cast<std::uint64_t>(value * static_cast<double>(scale));
+    const double bytes = value * static_cast<double>(scale);
+    // 2^64 is exact in a double; anything at or above it (and any
+    // negative or NaN) would make the cast undefined.
+    if (!(bytes >= 0.0 && bytes < 18446744073709551616.0))
+        stms_fatal("bad size '%s' (must be in [0, 2^64))", text.c_str());
+    return static_cast<std::uint64_t>(bytes);
+}
+
+bool
+parseBounded(const std::string &text, std::uint64_t min,
+             std::uint64_t max, std::uint64_t &value)
+{
+    if (text.empty())
+        return false;
+    std::uint64_t parsed = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (digit > max || parsed > (max - digit) / 10)
+            return false;
+        parsed = parsed * 10 + digit;
+    }
+    if (parsed < min)
+        return false;
+    value = parsed;
+    return true;
 }
 
 std::string

@@ -38,7 +38,6 @@ class Options
 
     std::string get(const std::string &key,
                     const std::string &fallback) const;
-    std::int64_t getInt(const std::string &key, std::int64_t fallback) const;
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t fallback) const;
     double getDouble(const std::string &key, double fallback) const;
@@ -74,8 +73,17 @@ class Options
     mutable std::set<std::string> read_;
 };
 
-/** Parse a size string like "64M", "8K", "512" into bytes. */
+/** Parse a size string like "64M", "8K", "1.5K", "512" into bytes.
+ *  A negative, non-finite or >= 2^64 size is fatal. */
 std::uint64_t parseSize(const std::string &text);
+
+/**
+ * Parse a decimal integer in [@p min, @p max]: digits only (no sign,
+ * whitespace or base prefix), so "-1" cannot wrap, "010" is ten and
+ * "4294967296" cannot truncate. Leaves @p value alone on failure.
+ */
+bool parseBounded(const std::string &text, std::uint64_t min,
+                  std::uint64_t max, std::uint64_t &value);
 
 /** Render a byte count as a human-readable string ("64.0MB"). */
 std::string formatSize(std::uint64_t bytes);

@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/log.hh"
 
@@ -125,32 +124,6 @@ class Rng
     }
 
     std::array<std::uint64_t, 4> state_{};
-};
-
-/**
- * Zipf-distributed sampler over {0, .., n-1} with skew parameter s,
- * using a precomputed inverse-CDF table for O(log n) sampling.
- *
- * Workload generators use this to schedule temporal-stream recurrences:
- * a small set of hot streams recurs frequently while a long tail recurs
- * rarely, which is what produces the smooth coverage-vs-history-size
- * curves of the paper's commercial workloads (Fig. 5 left).
- */
-class ZipfSampler
-{
-  public:
-    ZipfSampler(std::size_t n, double skew);
-
-    /** Draw one index in [0, size()). */
-    std::size_t sample(Rng &rng) const;
-
-    std::size_t size() const { return cdf_.size(); }
-
-    /** Probability mass of index @p i. */
-    double mass(std::size_t i) const;
-
-  private:
-    std::vector<double> cdf_;
 };
 
 } // namespace stms

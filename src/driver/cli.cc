@@ -1,7 +1,7 @@
 #include "driver/cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 
 #include "common/log.hh"
 #include "driver/registry.hh"
@@ -133,104 +133,18 @@ const char kUsage[] =
     "                    a key no selected experiment reads is an "
     "error\n";
 
-/** Strict unsigned parse: the whole token must be a number. */
+/** Parse a number flag's value (digits only) into @p field. */
+template <typename T>
 bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 0);
-    return *end == '\0';
-}
-
-/**
- * Apply --threads: a strict non-negative integer. 0 is the auto
- * spelling (resolve std::thread::hardware_concurrency() at run
- * time); the resolved count is reported in the timing metadata and
- * never joins fingerprints, so stored results stay
- * thread-count-independent.
- */
-bool
-applyThreads(const std::string &value, DriverArgs &args,
-             std::string &error)
+setNumber(const std::string &value, std::uint64_t min, std::uint64_t max,
+          T &field, std::string &error, const char *message)
 {
     std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed > 4096) {
-        error = "--threads needs an integer in [0, 4096] "
-                "(0 = auto-detect)";
+    if (!parseBounded(value, min, max, parsed)) {
+        error = message;
         return false;
     }
-    args.threads = static_cast<std::uint32_t>(parsed);
-    return true;
-}
-
-/**
- * Apply --pipeline-chunk: records per streamed chunk, strictly
- * positive (a zero chunk could never make progress; 0 as "default"
- * stays an internal RunnerConfig spelling, not a CLI one). The cap
- * matches --threads-style sanity bounds: 2^30 records is ~16 GiB of
- * chunk, far beyond any real use.
- */
-bool
-applyPipelineChunk(const std::string &value, DriverArgs &args,
-                   std::string &error)
-{
-    std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed < 1 ||
-        parsed > (1ULL << 30)) {
-        error = "--pipeline-chunk needs an integer in [1, 2^30]";
-        return false;
-    }
-    args.pipelineChunk = parsed;
-    return true;
-}
-
-/**
- * Apply --sample-every: counter-snapshot epoch in accessed cycles.
- * 0 is the explicit "off" spelling. The value steers observation
- * only — it flows through RunnerConfig (never Options), so it cannot
- * join result-store fingerprints or change model output.
- */
-bool
-applySampleEvery(const std::string &value, DriverArgs &args,
-                 std::string &error)
-{
-    std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed > (1ULL << 40)) {
-        error = "--sample-every needs an integer in [0, 2^40] "
-                "(0 = off)";
-        return false;
-    }
-    args.sampleEvery = parsed;
-    return true;
-}
-
-/** Apply --log-level: error|warn|info|debug. */
-bool
-applyLogLevel(const std::string &value, DriverArgs &args,
-              std::string &error)
-{
-    LogLevel level = LogLevel::Warn;
-    if (!parseLogLevel(value, level)) {
-        error = "--log-level needs error|warn|info|debug";
-        return false;
-    }
-    args.logLevel = static_cast<int>(level);
-    return true;
-}
-
-/** Apply --trace-cache-mb: MiB bound, 0 = no caching. */
-bool
-applyTraceCacheMb(const std::string &value, DriverArgs &args,
-                  std::string &error)
-{
-    std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed > (1ULL << 24)) {
-        error = "--trace-cache-mb needs an integer in [0, 2^24]";
-        return false;
-    }
-    args.traceCacheMb = parsed;
+    field = static_cast<T>(parsed);
     return true;
 }
 
@@ -265,29 +179,144 @@ applyMemBackend(const std::string &value, DriverArgs &args,
 
 /**
  * Parse "I/N" (1 <= I <= N) into the shard fields. Strict: both
- * numbers must consume every character ("2x/4" or "1/4junk" silently
- * running the wrong partition would break the disjoint+complete
- * guarantee a multi-machine sweep relies on).
+ * numbers are decimal digits only and fit the 32-bit fields ("2x/4",
+ * "+1/4" or "1/4junk" silently running the wrong partition would
+ * break the disjoint+complete guarantee a multi-machine sweep relies
+ * on).
  */
 bool
 parseShard(const std::string &text, DriverArgs &args,
            std::string &error)
 {
-    const char *cursor = text.c_str();
-    char *end = nullptr;
-    const long index = std::strtol(cursor, &end, 10);
-    if (end != cursor && *end == '/') {
-        cursor = end + 1;
-        const long count = std::strtol(cursor, &end, 10);
-        if (end != cursor && *end == '\0' && index >= 1 &&
-            count >= 1 && index <= count) {
-            args.shardIndex = static_cast<std::uint32_t>(index);
-            args.shardCount = static_cast<std::uint32_t>(count);
-            return true;
-        }
+    const std::size_t slash = text.find('/');
+    std::uint64_t index = 0;
+    std::uint64_t count = 0;
+    if (slash != std::string::npos &&
+        parseBounded(text.substr(0, slash), 1, UINT32_MAX, index) &&
+        parseBounded(text.substr(slash + 1), index, UINT32_MAX, count)) {
+        args.shardIndex = static_cast<std::uint32_t>(index);
+        args.shardCount = static_cast<std::uint32_t>(count);
+        return true;
     }
     error = "--shard needs I/N with 1 <= I <= N";
     return false;
+}
+
+using ApplyValue = bool (*)(const std::string &value, DriverArgs &args,
+                            std::string &error);
+
+/** A value flag that stores its value verbatim. */
+template <std::string DriverArgs::*Field>
+bool
+setString(const std::string &value, DriverArgs &args, std::string &)
+{
+    args.*Field = value;
+    return true;
+}
+
+/** A flag that takes a value: --NAME V, --NAME=V, -ALIAS V, -ALIAS=V. */
+struct ValueFlag
+{
+    const char *name;
+    const char *alias;  ///< nullptr: no short spelling.
+    ApplyValue apply;
+};
+
+const ValueFlag kValueFlags[] = {
+    {"experiment", "e",
+     [](const std::string &v, DriverArgs &a, std::string &) {
+         a.experiments.push_back(v);
+         return true;
+     }},
+    // 0 is the auto spelling (hardware_concurrency() at run time);
+    // the resolved count is reported in the timing metadata and never
+    // joins fingerprints, so stored results stay
+    // thread-count-independent.
+    {"threads", "j",
+     [](const std::string &v, DriverArgs &a, std::string &e) {
+         return setNumber(v, 0, 4096, a.threads, e,
+                          "--threads needs an integer in [0, 4096] "
+                          "(0 = auto-detect)");
+     }},
+    // Strictly positive: a zero chunk could never make progress (0 as
+    // "default" stays an internal RunnerConfig spelling). 2^30
+    // records is ~16 GiB of chunk, far beyond any real use.
+    {"pipeline-chunk", nullptr,
+     [](const std::string &v, DriverArgs &a, std::string &e) {
+         return setNumber(v, 1, 1ULL << 30, a.pipelineChunk, e,
+                          "--pipeline-chunk needs an integer in "
+                          "[1, 2^30]");
+     }},
+    {"trace-cache-mb", nullptr,
+     [](const std::string &v, DriverArgs &a, std::string &e) {
+         return setNumber(v, 0, 1ULL << 24, a.traceCacheMb, e,
+                          "--trace-cache-mb needs an integer in "
+                          "[0, 2^24]");
+     }},
+    // The epoch steers observation only: it flows through
+    // RunnerConfig (never Options), so it cannot join result-store
+    // fingerprints or change model output.
+    {"sample-every", nullptr,
+     [](const std::string &v, DriverArgs &a, std::string &e) {
+         return setNumber(v, 0, 1ULL << 40, a.sampleEvery, e,
+                          "--sample-every needs an integer in "
+                          "[0, 2^40] (0 = off)");
+     }},
+    {"log-level", nullptr,
+     [](const std::string &v, DriverArgs &a, std::string &e) {
+         LogLevel level = LogLevel::Warn;
+         if (!parseLogLevel(v, level)) {
+             e = "--log-level needs error|warn|info|debug";
+             return false;
+         }
+         a.logLevel = static_cast<int>(level);
+         return true;
+     }},
+    {"mem-backend", nullptr, applyMemBackend},
+    {"trace", nullptr,
+     [](const std::string &v, DriverArgs &a, std::string &) {
+         appendTraceSpec(a.options, v);
+         return true;
+     }},
+    {"json", nullptr, setString<&DriverArgs::jsonPath>},
+    {"store", nullptr, setString<&DriverArgs::storePath>},
+    {"baseline", nullptr, setString<&DriverArgs::baselinePath>},
+    {"shard", nullptr, parseShard},
+    {"results", nullptr, setString<&DriverArgs::resultsCmd>},
+    {"trace-out", nullptr, setString<&DriverArgs::traceOutPath>},
+};
+
+/** A flag that takes no value: --NAME or -ALIAS. */
+struct Switch
+{
+    const char *name;
+    const char *alias;  ///< nullptr: no short spelling.
+    void (*apply)(DriverArgs &args);
+};
+
+const Switch kSwitches[] = {
+    {"help", "h", [](DriverArgs &a) { a.help = true; }},
+    {"list", nullptr, [](DriverArgs &a) { a.list = true; }},
+    {"csv", nullptr, [](DriverArgs &a) { a.csv = true; }},
+    {"verbose", "v", [](DriverArgs &a) { a.verbose = true; }},
+    {"rerun", nullptr, [](DriverArgs &a) { a.rerun = true; }},
+    {"pipeline", nullptr, [](DriverArgs &a) { a.pipeline = true; }},
+    {"no-timing", nullptr, [](DriverArgs &a) { a.timing = false; }},
+    {"progress", nullptr,
+     [](DriverArgs &a) { a.progress = telemetry::ProgressMode::On; }},
+    {"no-progress", nullptr,
+     [](DriverArgs &a) { a.progress = telemetry::ProgressMode::Off; }},
+};
+
+/** The entry of @p table spelled @p key (a name or an alias). */
+template <typename Flag, std::size_t N>
+const Flag *
+findFlag(const Flag (&table)[N], const std::string &key)
+{
+    for (const Flag &flag : table)
+        if (key == flag.name || (flag.alias && key == flag.alias))
+            return &flag;
+    return nullptr;
 }
 
 /** Fold runner ExecStats into the report's timing metadata. */
@@ -569,197 +598,44 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
 {
     for (int i = 1; i < argc; ++i) {
         const std::string token = argv[i];
-        auto nextValue = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                error = std::string(flag) + " needs a value";
-                return nullptr;
-            }
-            return argv[++i];
-        };
 
-        // GNU-style --flag=value spellings of the driver's own flags
-        // must not fall through to the key=value option store (where
-        // "--threads=8" would silently become the experiment option
-        // threads=8 and never change the worker count).
-        if (token.size() > 2 && token[0] == '-') {
-            const auto eq = token.find('=');
-            if (eq != std::string::npos) {
-                std::size_t start = token[1] == '-' ? 2 : 1;
-                const std::string key = token.substr(start, eq - start);
-                const std::string value = token.substr(eq + 1);
-                if (key == "experiment" || key == "e") {
-                    args.experiments.push_back(value);
-                    continue;
+        // The driver's own flags, with one or two dashes and either
+        // value spelling. A --flag=value that is not one of them
+        // falls through to the key=value option store below; one
+        // that is must never do so ("--threads=8" silently becoming
+        // the experiment option threads=8, or "--csv=1" becoming
+        // csv=1).
+        if (token.size() > 1 && token[0] == '-') {
+            const std::size_t start = token[1] == '-' ? 2 : 1;
+            const std::size_t eq = token.find('=');
+            const std::string key = token.substr(
+                start, eq == std::string::npos ? eq : eq - start);
+            if (const ValueFlag *flag = findFlag(kValueFlags, key)) {
+                std::string value;
+                if (eq != std::string::npos) {
+                    value = token.substr(eq + 1);
+                } else if (i + 1 < argc) {
+                    value = argv[++i];
+                } else {
+                    error = std::string("--") + flag->name +
+                            " needs a value";
+                    return false;
                 }
-                if (key == "threads" || key == "j") {
-                    if (!applyThreads(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "trace-cache-mb") {
-                    if (!applyTraceCacheMb(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "pipeline-chunk") {
-                    if (!applyPipelineChunk(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "json") {
-                    args.jsonPath = value;
-                    continue;
-                }
-                if (key == "mem-backend") {
-                    if (!applyMemBackend(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "trace") {
-                    appendTraceSpec(args.options, value);
-                    continue;
-                }
-                if (key == "store") {
-                    args.storePath = value;
-                    continue;
-                }
-                if (key == "baseline") {
-                    args.baselinePath = value;
-                    continue;
-                }
-                if (key == "shard") {
-                    if (!parseShard(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "results") {
-                    args.resultsCmd = value;
-                    continue;
-                }
-                if (key == "trace-out") {
-                    args.traceOutPath = value;
-                    continue;
-                }
-                if (key == "sample-every") {
-                    if (!applySampleEvery(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "log-level") {
-                    if (!applyLogLevel(value, args, error))
-                        return false;
-                    continue;
-                }
-                // The boolean flags take no value; swallowing
-                // "--csv=1" as the experiment option csv=1 would be
-                // the same silent fallthrough this block prevents.
-                if (key == "list" || key == "csv" || key == "help" ||
-                    key == "h" || key == "verbose" || key == "v" ||
-                    key == "rerun" || key == "pipeline" ||
-                    key == "no-timing" || key == "progress" ||
-                    key == "no-progress") {
+                if (!flag->apply(value, args, error))
+                    return false;
+                continue;
+            }
+            if (const Switch *flag = findFlag(kSwitches, key)) {
+                if (eq != std::string::npos) {
                     error = "--" + key + " does not take a value";
                     return false;
                 }
+                flag->apply(args);
+                continue;
             }
         }
 
-        if (token == "--help" || token == "-h") {
-            args.help = true;
-        } else if (token == "--list") {
-            args.list = true;
-        } else if (token == "--csv") {
-            args.csv = true;
-        } else if (token == "--verbose" || token == "-v") {
-            args.verbose = true;
-        } else if (token == "--rerun") {
-            args.rerun = true;
-        } else if (token == "--pipeline") {
-            args.pipeline = true;
-        } else if (token == "--pipeline-chunk") {
-            const char *value = nextValue("--pipeline-chunk");
-            if (!value)
-                return false;
-            if (!applyPipelineChunk(value, args, error))
-                return false;
-        } else if (token == "--no-timing") {
-            args.timing = false;
-        } else if (token == "--progress") {
-            args.progress = telemetry::ProgressMode::On;
-        } else if (token == "--no-progress") {
-            args.progress = telemetry::ProgressMode::Off;
-        } else if (token == "--trace-out") {
-            const char *value = nextValue("--trace-out");
-            if (!value)
-                return false;
-            args.traceOutPath = value;
-        } else if (token == "--sample-every") {
-            const char *value = nextValue("--sample-every");
-            if (!value)
-                return false;
-            if (!applySampleEvery(value, args, error))
-                return false;
-        } else if (token == "--log-level") {
-            const char *value = nextValue("--log-level");
-            if (!value)
-                return false;
-            if (!applyLogLevel(value, args, error))
-                return false;
-        } else if (token == "--trace-cache-mb") {
-            const char *value = nextValue("--trace-cache-mb");
-            if (!value)
-                return false;
-            if (!applyTraceCacheMb(value, args, error))
-                return false;
-        } else if (token == "--experiment" || token == "-e") {
-            const char *value = nextValue("--experiment");
-            if (!value)
-                return false;
-            args.experiments.push_back(value);
-        } else if (token == "--threads" || token == "-j") {
-            const char *value = nextValue("--threads");
-            if (!value)
-                return false;
-            if (!applyThreads(value, args, error))
-                return false;
-        } else if (token == "--json") {
-            const char *value = nextValue("--json");
-            if (!value)
-                return false;
-            args.jsonPath = value;
-        } else if (token == "--mem-backend") {
-            const char *value = nextValue("--mem-backend");
-            if (!value)
-                return false;
-            if (!applyMemBackend(value, args, error))
-                return false;
-        } else if (token == "--trace") {
-            const char *value = nextValue("--trace");
-            if (!value)
-                return false;
-            appendTraceSpec(args.options, value);
-        } else if (token == "--store") {
-            const char *value = nextValue("--store");
-            if (!value)
-                return false;
-            args.storePath = value;
-        } else if (token == "--baseline") {
-            const char *value = nextValue("--baseline");
-            if (!value)
-                return false;
-            args.baselinePath = value;
-        } else if (token == "--shard") {
-            const char *value = nextValue("--shard");
-            if (!value)
-                return false;
-            if (!parseShard(value, args, error))
-                return false;
-        } else if (token == "--results") {
-            const char *value = nextValue("--results");
-            if (!value)
-                return false;
-            args.resultsCmd = value;
-        } else if (args.options.parseToken(token)) {
+        if (args.options.parseToken(token)) {
             // key=value (or --key=value) passthrough.
         } else if (!args.resultsCmd.empty() && !token.empty() &&
                    token[0] != '-') {

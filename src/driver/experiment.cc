@@ -1,7 +1,5 @@
 #include "driver/experiment.hh"
 
-#include <cstdlib>
-
 #include "common/log.hh"
 
 namespace stms::driver
@@ -34,14 +32,7 @@ RunSet::at(const std::string &id) const
 std::uint64_t
 plannedRecords(const Options &options, std::uint64_t fallback)
 {
-    if (options.has("records"))
-        return options.getUint("records", fallback);
-    if (const char *env = std::getenv("STMS_BENCH_RECORDS")) {
-        const std::uint64_t value = std::strtoull(env, nullptr, 0);
-        if (value > 0)
-            return value;
-    }
-    return fallback;
+    return options.getUint("records", fallback);
 }
 
 std::optional<MemBackendSpec>

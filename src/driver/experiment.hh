@@ -122,7 +122,8 @@ class ExperimentBase : public Experiment
 
 /**
  * Trace length for a plan: the "records" option when present, else
- * the STMS_BENCH_RECORDS environment override, else @p fallback.
+ * @p fallback. The option is the only way to set it, so the length
+ * always joins the run fingerprint.
  */
 std::uint64_t plannedRecords(const Options &options,
                              std::uint64_t fallback);

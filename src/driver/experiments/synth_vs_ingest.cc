@@ -9,9 +9,9 @@
  * three otherwise-identical STMS runs: direct synthetic generation,
  * native ingestion, and ChampSim ingestion — the ingest runs
  * streaming from disk in bounded chunks. report() compares every
- * scalar the pipeline produces with exact (bit-identical) equality
- * and publishes the mismatch count as the `mismatches` metric, which
- * tests and CI assert to be zero.
+ * scalar the result store keeps (encodeRunOutput) with exact
+ * (bit-identical) equality and publishes the mismatch count as the
+ * `mismatches` metric, which tests and CI assert to be zero.
  *
  * Warmup is disabled for all three runs: a ChampSim source cannot
  * report its record count up front (docs/TRACE_FORMATS.md), so a
@@ -24,11 +24,14 @@
 
 #include "driver/experiments/builtins.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "results/run_codec.hh"
 #include "trace_io/champsim.hh"
 #include "trace_io/native.hh"
 #include "workload/generators.hh"
@@ -38,81 +41,6 @@ namespace stms::driver
 {
 namespace
 {
-
-/** The scalars compared across the three source paths. */
-struct ScalarProbe
-{
-    const char *name;
-    double (*get)(const RunOutput &);
-};
-
-double
-trafficBytes(const RunOutput &out, TrafficClass cls)
-{
-    return static_cast<double>(out.sim.traffic.bytesFor(cls));
-}
-
-const ScalarProbe kProbes[] = {
-    {"cycles",
-     [](const RunOutput &o) {
-         return static_cast<double>(o.sim.cycles);
-     }},
-    {"instructions",
-     [](const RunOutput &o) {
-         return static_cast<double>(o.sim.instructions);
-     }},
-    {"ipc", [](const RunOutput &o) { return o.sim.ipc; }},
-    {"meanMlp", [](const RunOutput &o) { return o.sim.meanMlp; }},
-    {"coverage", [](const RunOutput &o) { return o.stmsCoverage; }},
-    {"coverage.full",
-     [](const RunOutput &o) { return o.stmsFullCoverage; }},
-    {"coverage.partial",
-     [](const RunOutput &o) { return o.stmsPartialCoverage; }},
-    {"stms.useful",
-     [](const RunOutput &o) {
-         return static_cast<double>(o.stms.useful);
-     }},
-    {"stms.partial",
-     [](const RunOutput &o) {
-         return static_cast<double>(o.stms.partial);
-     }},
-    {"stms.erroneous",
-     [](const RunOutput &o) {
-         return static_cast<double>(o.stms.erroneous);
-     }},
-    {"stride.useful",
-     [](const RunOutput &o) {
-         return static_cast<double>(o.stride.useful);
-     }},
-    {"stmsMetaBytes",
-     [](const RunOutput &o) {
-         return static_cast<double>(o.stmsMetaBytes);
-     }},
-    {"bytes.demandRead",
-     [](const RunOutput &o) {
-         return trafficBytes(o, TrafficClass::DemandRead);
-     }},
-    {"bytes.demandWriteback",
-     [](const RunOutput &o) {
-         return trafficBytes(o, TrafficClass::DemandWriteback);
-     }},
-    {"bytes.prefetch",
-     [](const RunOutput &o) {
-         return trafficBytes(o, TrafficClass::Prefetch);
-     }},
-    {"bytes.metaLookup",
-     [](const RunOutput &o) {
-         return trafficBytes(o, TrafficClass::MetaLookup);
-     }},
-    {"bytes.metaUpdate",
-     [](const RunOutput &o) {
-         return trafficBytes(o, TrafficClass::MetaUpdate);
-     }},
-    {"bytes.metaRecord",
-     [](const RunOutput &o) {
-         return trafficBytes(o, TrafficClass::MetaRecord);
-     }},
-};
 
 class SynthVsIngest final : public ExperimentBase
 {
@@ -205,29 +133,41 @@ class SynthVsIngest final : public ExperimentBase
     Report
     report(const Options &, const RunSet &runs) const override
     {
-        const RunOutput &direct = runs.at("direct");
-        const RunOutput &native = runs.at("native");
-        const RunOutput &champsim = runs.at("champsim");
+        // Every scalar the result store keeps, matched by position:
+        // a name that differs between paths (a sparse key present in
+        // one only) is a mismatch too.
+        using Scalars = std::vector<std::pair<std::string, double>>;
+        const Scalars direct = results::encodeRunOutput(runs.at("direct"));
+        const Scalars native = results::encodeRunOutput(runs.at("native"));
+        const Scalars champsim =
+            results::encodeRunOutput(runs.at("champsim"));
+        const std::size_t compared =
+            std::max({direct.size(), native.size(), champsim.size()});
+        auto entry = [](const Scalars &scalars, std::size_t i) {
+            return i < scalars.size()
+                       ? scalars[i]
+                       : std::pair<std::string, double>("-", NAN);
+        };
 
         Report out(name());
         Table table(
-            {"metric", "direct", "native", "champsim", "match"});
+            {"scalar", "direct", "native", "champsim", "match"});
         std::uint64_t mismatches = 0;
-        for (const ScalarProbe &probe : kProbes) {
-            const double d = probe.get(direct);
-            const double n = probe.get(native);
-            const double c = probe.get(champsim);
+        for (std::size_t i = 0; i < compared; ++i) {
+            const auto d = entry(direct, i);
+            const auto n = entry(native, i);
+            const auto c = entry(champsim, i);
             const bool match = d == n && d == c;
             mismatches += match ? 0 : 1;
-            table.addRow({probe.name, Table::num(d, 6),
-                          Table::num(n, 6), Table::num(c, 6),
+            table.addRow({d.first, Table::num(d.second, 6),
+                          Table::num(n.second, 6),
+                          Table::num(c.second, 6),
                           match ? "yes" : "NO"});
         }
         out.addTable("Synthetic generation vs round-tripped "
                      "ingestion (exact equality)",
                      std::move(table));
-        out.addMetric("compared",
-                      static_cast<double>(std::size(kProbes)));
+        out.addMetric("compared", static_cast<double>(compared));
         out.addMetric("mismatches",
                       static_cast<double>(mismatches));
         out.addNote(mismatches == 0

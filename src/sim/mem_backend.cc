@@ -3,6 +3,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "sim/mem_dram.hh"
 #include "sim/mem_queued.hh"
@@ -16,31 +17,6 @@ namespace
  *  (cycles, row bytes): it fits the 32-bit fields, and cycle sums
  *  cannot wrap. */
 constexpr std::uint64_t kMaxMemSpecValue = 0xffffffffULL;
-
-/**
- * Parse a decimal integer in [1, @p max]: digits only (no sign, no
- * whitespace), so "-1" cannot wrap and "4294967296" cannot truncate.
- */
-bool
-parseBounded(const std::string &text, std::uint64_t max,
-             std::uint64_t &value)
-{
-    if (text.empty())
-        return false;
-    std::uint64_t parsed = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (parsed > (max - digit) / 10)
-            return false;
-        parsed = parsed * 10 + digit;
-    }
-    if (parsed == 0)
-        return false;
-    value = parsed;
-    return true;
-}
 
 } // namespace
 
@@ -168,7 +144,7 @@ parseMemBackendSpec(const std::string &text, MemBackendSpec &spec,
         const std::uint64_t max =
             count_key ? kMaxMemStructureCount : kMaxMemSpecValue;
         std::uint64_t value = 0;
-        if (!parseBounded(raw, max, value)) {
+        if (!parseBounded(raw, 1, max, value)) {
             error = "backend parameter " + key + " needs an integer in 1.." +
                     std::to_string(max) + ", got '" + raw + "'";
             return false;

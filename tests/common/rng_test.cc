@@ -119,34 +119,6 @@ TEST(Rng, GeometricMean)
     EXPECT_NEAR(sum / samples, 3.0, 0.15);
 }
 
-TEST(Zipf, MassSumsToOne)
-{
-    ZipfSampler zipf(100, 0.9);
-    double total = 0.0;
-    for (std::size_t i = 0; i < zipf.size(); ++i)
-        total += zipf.mass(i);
-    EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(Zipf, SkewFavorsLowIndices)
-{
-    ZipfSampler zipf(1000, 1.0);
-    Rng rng(23);
-    std::uint64_t low = 0;
-    constexpr int samples = 20000;
-    for (int i = 0; i < samples; ++i)
-        low += zipf.sample(rng) < 10 ? 1 : 0;
-    // First 10 of 1000 items should draw far more than 1% of mass.
-    EXPECT_GT(static_cast<double>(low) / samples, 0.2);
-}
-
-TEST(Zipf, ZeroSkewIsUniform)
-{
-    ZipfSampler zipf(10, 0.0);
-    for (std::size_t i = 0; i < zipf.size(); ++i)
-        EXPECT_NEAR(zipf.mass(i), 0.1, 1e-9);
-}
-
 TEST(SplitMix, Deterministic)
 {
     std::uint64_t s1 = 99, s2 = 99;

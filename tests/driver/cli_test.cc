@@ -28,6 +28,44 @@ parse(std::vector<const char *> tokens, bool expect_ok = true)
     return args;
 }
 
+/** The error parseDriverArgs reports for @p tokens ("" on success). */
+std::string
+parseError(std::vector<const char *> tokens)
+{
+    tokens.insert(tokens.begin(), "driver");
+    DriverArgs args;
+    std::string error;
+    if (parseDriverArgs(static_cast<int>(tokens.size()),
+                        const_cast<char **>(tokens.data()), args,
+                        error))
+        return "";
+    return error;
+}
+
+/** Every parsed field, rendered so two DriverArgs can be compared. */
+std::string
+describe(const DriverArgs &a)
+{
+    std::string out;
+    for (const std::string &name : a.experiments)
+        out += "experiment=" + name + ";";
+    for (const auto &[key, value] : a.options.items())
+        out += "option." + key + "=" + value + ";";
+    for (const std::string &operand : a.resultsArgs)
+        out += "operand=" + operand + ";";
+    const std::uint64_t numbers[] = {
+        a.threads,      a.pipelineChunk, a.traceCacheMb,
+        a.sampleEvery,  a.shardIndex,    a.shardCount,
+        a.pipeline,     a.timing,        a.csv,
+        a.list,         a.help,          a.verbose,
+        a.rerun,        static_cast<std::uint64_t>(a.logLevel),
+        static_cast<std::uint64_t>(a.progress)};
+    for (const std::uint64_t number : numbers)
+        out += std::to_string(number) + ";";
+    return out + a.jsonPath + ";" + a.traceOutPath + ";" +
+           a.storePath + ";" + a.baselinePath + ";" + a.resultsCmd;
+}
+
 /** What driverMain printed, and its exit status. */
 struct DriverRun
 {
@@ -226,6 +264,16 @@ TEST(DriverCli, ShardParses)
           /*expect_ok=*/false);
     parse({"-e", "fig7", "--store", "s", "--shard", "nope"},
           /*expect_ok=*/false);
+    // Digits only, and each number must fit the 32-bit fields
+    // (2^32 + 1 used to truncate to 1).
+    for (const char *bad : {"+1/4", " 1/4", "1/ 4", "1/4 ", "1/4/4",
+                            "0x1/4", "/4", "1/", "4294967297/4294967298"})
+        parse({"-e", "fig7", "--store", "s", "--shard", bad},
+              /*expect_ok=*/false);
+    EXPECT_EQ(parse({"-e", "fig7", "--store", "s", "--shard",
+                     "4294967295/4294967295"})
+                  .shardIndex,
+              4294967295u);
     // Sharded runs exist only as store records: --store is required.
     parse({"-e", "fig7", "--shard", "1/4"}, /*expect_ok=*/false);
 }
@@ -248,6 +296,119 @@ TEST(DriverCli, ResultsModeCollectsOperands)
 
     // Bare operands stay rejected outside results mode.
     parse({"--experiment", "fig7", "bogus"}, /*expect_ok=*/false);
+}
+
+TEST(DriverCli, EveryValueFlagParsesAlikeInEverySpelling)
+{
+    struct Flag
+    {
+        const char *name;
+        const char *alias;  // nullptr: none.
+        const char *value;
+    };
+    const Flag flags[] = {
+        {"experiment", "e", "fig7"},
+        {"threads", "j", "3"},
+        {"pipeline-chunk", nullptr, "512"},
+        {"trace-cache-mb", nullptr, "64"},
+        {"sample-every", nullptr, "1024"},
+        {"log-level", nullptr, "debug"},
+        {"mem-backend", nullptr, "queued,channels=4"},
+        {"trace", nullptr, "a.stms"},
+        {"json", nullptr, "out.json"},
+        {"store", nullptr, "results"},
+        {"baseline", nullptr, "b.jsonl"},
+        {"shard", nullptr, "2/4"},
+        {"results", nullptr, "list"},
+        {"trace-out", nullptr, "t.json"},
+    };
+    const std::string defaults = describe(parse({"--store", "s"}));
+    for (const Flag &flag : flags) {
+        std::vector<std::string> spellings = {"--" + std::string(flag.name),
+                                              "-" + std::string(flag.name)};
+        if (flag.alias) {
+            spellings.push_back("-" + std::string(flag.alias));
+            spellings.push_back("--" + std::string(flag.alias));
+        }
+        // --store keeps --shard valid; it is the same in every case.
+        const std::string expected = describe(
+            parse({"--store", "s", spellings[0].c_str(), flag.value}));
+        EXPECT_NE(expected, defaults) << flag.name;
+        for (const std::string &spelling : spellings) {
+            const std::string joined = spelling + "=" + flag.value;
+            EXPECT_EQ(describe(parse({"--store", "s", spelling.c_str(),
+                                      flag.value})),
+                      expected)
+                << spelling;
+            EXPECT_EQ(describe(parse({"--store", "s", joined.c_str()})),
+                      expected)
+                << joined;
+            EXPECT_EQ(parseError({spelling.c_str()}),
+                      "--" + std::string(flag.name) + " needs a value")
+                << spelling;
+        }
+    }
+}
+
+TEST(DriverCli, EverySwitchRejectsAValueWithOneMessage)
+{
+    for (const char *key :
+         {"help", "h", "list", "csv", "verbose", "v", "rerun",
+          "pipeline", "no-timing", "progress", "no-progress"}) {
+        for (const char *dashes : {"--", "-"}) {
+            const std::string token = dashes + std::string(key) + "=1";
+            EXPECT_EQ(parseError({token.c_str()}),
+                      "--" + std::string(key) + " does not take a value")
+                << token;
+            // Without the value the switch is accepted.
+            const std::string bare = dashes + std::string(key);
+            EXPECT_EQ(parseError({bare.c_str()}), "") << bare;
+        }
+    }
+}
+
+TEST(DriverCli, NumberFlagsTakeDecimalDigitsOnly)
+{
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+        bool ok;
+    };
+    const Case cases[] = {
+        {"--threads", "010", true},  // Ten, not octal eight.
+        {"--threads", "0x10", false},
+        {"--threads", "+5", false},
+        {"--threads", " 5", false},
+        {"--threads", "5 ", false},
+        {"--threads", "-1", false},
+        {"--threads", "", false},
+        {"--threads", "4096", true},
+        {"--threads", "4097", false},
+        {"--pipeline-chunk", "0", false},
+        {"--pipeline-chunk", "1", true},
+        {"--pipeline-chunk", "0x10", false},
+        {"--pipeline-chunk", "1073741824", true},
+        {"--pipeline-chunk", "1073741825", false},
+        {"--sample-every", "0", true},
+        {"--sample-every", "+5", false},
+        {"--sample-every", "1e3", false},
+        {"--sample-every", "1099511627776", true},
+        {"--sample-every", "1099511627777", false},
+        {"--trace-cache-mb", "0", true},
+        {"--trace-cache-mb", "010", true},
+        {"--trace-cache-mb", "-0", false},
+        {"--trace-cache-mb", "16777216", true},
+        {"--trace-cache-mb", "16777217", false},
+        {"--trace-cache-mb", "18446744073709551617", false},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(parseError({c.flag, c.value}).empty(), c.ok)
+            << c.flag << " '" << c.value << "'";
+    EXPECT_EQ(parse({"--threads", "010"}).threads, 10u);
+    EXPECT_EQ(parse({"--trace-cache-mb=010"}).traceCacheMb, 10u);
+    EXPECT_EQ(parseError({"--threads", "0x10"}),
+              "--threads needs an integer in [0, 4096] (0 = auto-detect)");
 }
 
 TEST(DriverCliOptions, UnreadOptionRejectedInEitherSpelling)

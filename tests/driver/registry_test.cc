@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
 #include "driver/registry.hh"
@@ -110,6 +111,28 @@ TEST(ExperimentRegistry, BuiltinPlansAreNonEmptyWithUniqueIds)
             EXPECT_FALSE(spec.workload.empty()) << experiment->name();
         }
     }
+}
+
+TEST(ExperimentRegistry, RecordsComeOnlyFromTheOption)
+{
+    // The trace length must join the run fingerprint, so nothing
+    // outside Options (such as an environment variable) may set it:
+    // a store would then serve short-trace results to a plain run.
+    const Experiment *table2 =
+        ExperimentRegistry::global().find("table2");
+    ASSERT_NE(table2, nullptr);
+    const std::vector<RunSpec> plain = table2->plan(Options{});
+    ::setenv("STMS_BENCH_RECORDS", "1024", 1);
+    const std::vector<RunSpec> with_env = table2->plan(Options{});
+    const std::uint64_t fallback = plannedRecords(Options{}, 4096);
+    ::unsetenv("STMS_BENCH_RECORDS");
+
+    EXPECT_EQ(fallback, 4096u);
+    ASSERT_EQ(with_env.size(), plain.size());
+    ASSERT_FALSE(plain.empty());
+    EXPECT_NE(plain[0].records, 1024u);
+    for (std::size_t i = 0; i < plain.size(); ++i)
+        EXPECT_EQ(with_env[i].records, plain[i].records) << plain[i].id;
 }
 
 TEST(RunSet, UnknownIdIsFatal)

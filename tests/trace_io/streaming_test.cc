@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "results/run_codec.hh"
 #include "sim/run.hh"
 #include "trace_io/format.hh"
 #include "trace_io/native.hh"
@@ -33,29 +34,11 @@ testTrace()
     return generator.generate();
 }
 
-/** Exact comparison of every scalar two runs produce. */
+/** Exact comparison of every scalar the result store keeps. */
 void
 expectIdenticalOutputs(const RunOutput &a, const RunOutput &b)
 {
-    EXPECT_EQ(a.sim.cycles, b.sim.cycles);
-    EXPECT_EQ(a.sim.instructions, b.sim.instructions);
-    EXPECT_EQ(a.sim.ipc, b.sim.ipc);
-    EXPECT_EQ(a.sim.meanMlp, b.sim.meanMlp);
-    EXPECT_EQ(a.stmsCoverage, b.stmsCoverage);
-    EXPECT_EQ(a.stmsFullCoverage, b.stmsFullCoverage);
-    EXPECT_EQ(a.stmsPartialCoverage, b.stmsPartialCoverage);
-    EXPECT_EQ(a.stms.useful, b.stms.useful);
-    EXPECT_EQ(a.stms.partial, b.stms.partial);
-    EXPECT_EQ(a.stms.erroneous, b.stms.erroneous);
-    EXPECT_EQ(a.stride.useful, b.stride.useful);
-    EXPECT_EQ(a.stmsMetaBytes, b.stmsMetaBytes);
-    for (std::size_t cls = 0; cls < kNumTrafficClasses; ++cls) {
-        EXPECT_EQ(a.sim.traffic.bytesFor(
-                      static_cast<TrafficClass>(cls)),
-                  b.sim.traffic.bytesFor(
-                      static_cast<TrafficClass>(cls)))
-            << cls;
-    }
+    EXPECT_EQ(results::encodeRunOutput(a), results::encodeRunOutput(b));
 }
 
 RunConfig
